@@ -10,8 +10,6 @@
 #include <cerrno>
 #include <chrono>
 
-#include "crypto/hmac.hpp"
-
 namespace rvaas::net {
 
 namespace {
@@ -28,17 +26,13 @@ int remaining_ms(Clock::time_point deadline) {
 }  // namespace
 
 WireClient::WireClient(WireClientConfig config)
-    : config_(std::move(config)),
-      rng_(config_.seed),
-      key_(crypto::SigningKey::generate(rng_)),
-      box_(crypto::BoxOpener::generate(rng_)) {}
+    : config_(std::move(config)), session_(util::Rng(config_.seed)) {}
 
 WireClient::~WireClient() { close(); }
 
 void WireClient::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  hello_done_ = false;
 }
 
 WelcomeStatus WireClient::connect() {
@@ -56,8 +50,8 @@ WelcomeStatus WireClient::connect() {
   }
 
   WireHello hello;
-  hello.client_key = key_.verify_key();
-  hello.client_box_pub = box_.public_element();
+  hello.client_key = session_.verify_key();
+  hello.client_box_pub = session_.box_public();
   hello.requested_host = config_.requested_host;
   if (!send_frame(hello.encode())) {
     close();
@@ -75,27 +69,18 @@ WelcomeStatus WireClient::connect() {
     close();
     return welcome->status;
   }
-  if (config_.verify_attestation) {
-    // Same checks as ClientAgent::verify_attestation: authentic quote, the
-    // expected code measurement, report data binding exactly these keys.
-    if (!enclave::AttestationService::verify(
-            welcome->quote, welcome->ias_root,
-            enclave::measure_code(config_.enclave_name,
-                                  config_.enclave_version)) ||
-        !crypto::digest_equal(
-            enclave::bind_keys(welcome->rvaas_key, welcome->rvaas_box_pub),
-            welcome->quote.report.report_data)) {
-      close();
-      return WelcomeStatus::BadHello;
-    }
+  if (!config_.verify_attestation) {
+    session_.trust_rvaas(welcome->rvaas_key, welcome->rvaas_box_pub);
+  } else if (!session_.verify_attestation(
+                 welcome->quote, welcome->ias_root,
+                 enclave::measure_code(config_.enclave_name,
+                                       config_.enclave_version),
+                 welcome->rvaas_key, welcome->rvaas_box_pub)) {
+    close();
+    return WelcomeStatus::BadHello;
   }
-  host_ = welcome->host;
-  address_ = welcome->address;
+  session_.bind(welcome->host, welcome->address);
   access_point_ = welcome->access_point;
-  rvaas_key_ = welcome->rvaas_key;
-  rvaas_box_pub_ = welcome->rvaas_box_pub;
-  next_request_id_ = (static_cast<std::uint64_t>(host_.value) << 32) | 1;
-  hello_done_ = true;
   return WelcomeStatus::Ok;
 }
 
@@ -139,144 +124,60 @@ std::optional<util::Bytes> WireClient::read_frame(int timeout_ms) {
   }
 }
 
-bool WireClient::consume(const sdn::Packet& packet, Event* out_event) {
-  const auto tag = core::inband::classify(packet);
-  if (!tag || !rvaas_key_) return false;
-
-  if (*tag == core::inband::Tag::AuthRequest) {
-    const auto req = core::inband::verify_auth_request(packet, *rvaas_key_);
-    if (!req) return false;
-    core::inband::AuthReply reply;
-    reply.request_id = req->request_id;
-    reply.nonce = req->nonce;
-    reply.client = host_;
-    ++stats_.auth_requests_answered;
-    send_frame(
-        encode_inband(core::inband::make_auth_reply(address_, reply, key_)));
-    return false;
-  }
-
-  if (*tag == core::inband::Tag::Notify) {
-    const auto opened = core::inband::open_notify(packet, box_, *rvaas_key_);
-    if (!opened) {
-      ++stats_.bad_notifications;
-      return false;
-    }
-    const core::Notification& n = opened->notification;
-    const auto it = subscriptions_.find(n.subscription_id);
-    if (it == subscriptions_.end()) return false;
-    Subscription& sub = it->second;
-    if (!opened->signature_ok || n.sequence <= sub.last_sequence ||
-        n.property_fingerprint != sub.property.fingerprint()) {
-      ++stats_.bad_notifications;  // forged, replayed, or wrong property
-      return false;
-    }
-    sub.last_sequence = n.sequence;
-    ++stats_.notifications_received;
-    Event event;
-    event.subscription_id = n.subscription_id;
-    event.kind = n.kind;
-    event.sequence = n.sequence;
-    event.epoch = n.epoch;
-    event.reply = n.reply;
-    event.verdict = core::evaluate_reply(n.reply, sub.property.expect);
-    *out_event = std::move(event);
-    return true;
-  }
-
-  return false;  // Reply frames are matched by the query() loop directly
+bool WireClient::pump(Clock::time_point deadline,
+                      std::optional<Outcome>* answer) {
+  const auto frame = read_frame(remaining_ms(deadline));
+  if (!frame) return false;
+  const auto packet = decode_inband(*frame);
+  if (!packet) return true;
+  core::ClientSession::Received in = session_.receive(*packet);
+  if (in.auth_reply) send_frame(encode_inband(*in.auth_reply));
+  if (in.event) event_queue_.push_back(std::move(*in.event));
+  if (in.answer && answer) *answer = std::move(in.answer);
+  return true;
 }
 
 WireClient::Outcome WireClient::query(const core::Query& query,
                                       int timeout_ms) {
   Outcome outcome;
-  if (!connected()) {
-    outcome.timed_out = true;
-    return outcome;
-  }
-  core::QueryRequest request;
-  request.request_id = next_request_id_++;
-  request.client = host_;
-  request.query = query;
-  ++stats_.queries_sent;
-  if (!send_frame(encode_inband(core::inband::make_request_packet(
-          address_, request, *rvaas_box_pub_, rng_)))) {
-    outcome.timed_out = true;
-    return outcome;
-  }
-
+  outcome.timed_out = true;
+  if (!connected()) return outcome;
+  const core::ClientSession::Request request = session_.seal_query(query);
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    const auto frame = read_frame(remaining_ms(deadline));
-    if (!frame) {
-      ++stats_.timeouts;
-      outcome.timed_out = true;
-      return outcome;
+  std::optional<Outcome> answer;
+  if (send_frame(encode_inband(request.packet))) {
+    // One query at a time, so any answer the session hands back is ours.
+    while (!answer && pump(deadline, &answer)) {
     }
-    const auto packet = decode_inband(*frame);
-    if (!packet) continue;
-    if (core::inband::classify(*packet) == core::inband::Tag::Reply) {
-      const auto opened = core::inband::open_reply(*packet, box_, *rvaas_key_);
-      if (!opened) {
-        ++stats_.bad_replies;
-        continue;
-      }
-      if (opened->reply.request_id != request.request_id) continue;
-      ++stats_.replies_received;
-      if (!opened->signature_ok) ++stats_.bad_replies;
-      outcome.signature_ok = opened->signature_ok;
-      outcome.reply = opened->reply;
-      return outcome;
-    }
-    Event event;
-    if (consume(*packet, &event)) event_queue_.push_back(std::move(event));
   }
+  if (answer) return *answer;
+  session_.expire(request.id);
+  return outcome;
 }
 
 std::uint64_t WireClient::subscribe(const core::Property& property,
                                     core::NotifyPolicy policy) {
-  core::SubscribeRequest request;
-  request.subscription_id = next_request_id_++;
-  request.client = host_;
-  request.policy = policy;
-  request.property = property;
-  // As in ClientAgent: the id counter doubles as the freshness clock.
-  request.freshness = next_request_id_++;
-  ++stats_.subscribes_sent;
-  send_frame(encode_inband(core::inband::make_subscribe_packet(
-      address_, request, key_, *rvaas_box_pub_, rng_)));
-  subscriptions_[request.subscription_id] = Subscription{property, 0};
-  return request.subscription_id;
+  const core::ClientSession::Request request =
+      session_.subscribe(property, policy);
+  send_frame(encode_inband(request.packet));
+  return request.id;
 }
 
 void WireClient::unsubscribe(std::uint64_t subscription_id) {
-  if (subscriptions_.erase(subscription_id) == 0) return;
-  core::SubscribeRequest request;
-  request.subscription_id = subscription_id;
-  request.client = host_;
-  request.unsubscribe = true;
-  request.freshness = next_request_id_++;
-  ++stats_.unsubscribes_sent;
-  send_frame(encode_inband(core::inband::make_subscribe_packet(
-      address_, request, key_, *rvaas_box_pub_, rng_)));
+  if (const auto packet = session_.unsubscribe(subscription_id)) {
+    send_frame(encode_inband(*packet));
+  }
 }
 
 std::optional<WireClient::Event> WireClient::wait_notification(
     int timeout_ms) {
-  if (!event_queue_.empty()) {
-    Event event = std::move(event_queue_.front());
-    event_queue_.pop_front();
-    return event;
-  }
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    const auto frame = read_frame(remaining_ms(deadline));
-    if (!frame) return std::nullopt;
-    const auto packet = decode_inband(*frame);
-    if (!packet) continue;
-    Event event;
-    if (consume(*packet, &event)) return event;
+  while (event_queue_.empty()) {
+    if (!pump(deadline, nullptr)) return std::nullopt;
   }
+  Event event = std::move(event_queue_.front());
+  event_queue_.pop_front();
+  return event;
 }
 
 }  // namespace rvaas::net

@@ -1,22 +1,21 @@
 #pragma once
-// WireClient: a blocking TCP client for the RVaaS wire front-end. It mirrors
-// core::ClientAgent exactly — same request-id scheme ((host << 32) | counter,
-// the counter doubling as the subscribe freshness clock), same envelope
-// codecs, same replay/fingerprint guards on pushes — so a wire session is
-// indistinguishable from an in-process agent to the controller, and replies
+// WireClient: a blocking TCP client for the RVaaS wire front-end. It only
+// moves packets: the client protocol is core::ClientSession, the same core
+// the in-band core::ClientAgent runs on, so a wire session is
+// indistinguishable from an in-process agent to the controller and replies
 // are byte-identical (pinned by tests/test_net.cpp).
 //
 // Blocking by design: one client = one session = one thread. The bench and
 // the tools run many of these in parallel; concurrency lives in the caller.
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 
 #include "net/framing.hpp"
-#include "rvaas/inband.hpp"
+#include "rvaas/client.hpp"
 
 namespace rvaas::net {
 
@@ -47,37 +46,34 @@ class WireClient {
   /// Returns the WELCOME status; anything but Ok leaves the client closed.
   WelcomeStatus connect();
 
-  bool connected() const { return fd_ >= 0 && hello_done_; }
+  /// Every failed handshake step closes the socket, so an open socket is a
+  /// session whose RVaaS keys are pinned.
+  bool connected() const { return fd_ >= 0; }
   void close();
 
   /// This session's assigned identity (valid after a successful connect()).
-  sdn::HostId host() const { return host_; }
+  sdn::HostId host() const { return session_.host(); }
   sdn::PortRef access_point() const { return access_point_; }
 
-  struct Outcome {
-    bool timed_out = false;
-    bool signature_ok = false;
-    std::optional<core::QueryReply> reply;
-  };
+  using Outcome = core::ClientSession::Outcome;
   /// One-shot query, blocking up to `timeout_ms`. Auth requests arriving
   /// while waiting are answered inline (the agent contract); notifications
   /// are buffered for wait_notification().
   Outcome query(const core::Query& query, int timeout_ms = 5000);
 
+  /// See core::ClientSession::set_max_staleness.
+  void set_max_staleness(std::uint64_t bound) {
+    session_.set_max_staleness(bound);
+  }
+
   /// Registers a standing subscription; returns the subscription id.
+  /// Throws util::InvariantViolation before a successful connect().
   std::uint64_t subscribe(const core::Property& property,
                           core::NotifyPolicy policy =
                               core::NotifyPolicy::VerdictEdges);
   void unsubscribe(std::uint64_t subscription_id);
 
-  struct Event {
-    std::uint64_t subscription_id = 0;
-    core::NotificationKind kind = core::NotificationKind::AllClear;
-    std::uint64_t sequence = 0;
-    std::uint64_t epoch = 0;
-    core::QueryReply reply;
-    core::Verdict verdict;  ///< local re-check against the expectation
-  };
+  using Event = core::ClientSession::Event;
   /// Next verified push (signature + replay + fingerprint checked), waiting
   /// up to `timeout_ms`. Auth requests are answered inline here too.
   std::optional<Event> wait_notification(int timeout_ms = 5000);
@@ -85,50 +81,27 @@ class WireClient {
   /// Sends raw bytes down the socket verbatim (adversarial tests only).
   bool send_raw(std::span<const std::uint8_t> bytes);
 
-  struct Stats {
-    std::uint64_t queries_sent = 0;
-    std::uint64_t replies_received = 0;
-    std::uint64_t bad_replies = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t auth_requests_answered = 0;
-    std::uint64_t subscribes_sent = 0;
-    std::uint64_t unsubscribes_sent = 0;
-    std::uint64_t notifications_received = 0;
-    std::uint64_t bad_notifications = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  using Stats = core::ClientSession::Stats;
+  const Stats& stats() const { return session_.stats(); }
 
  private:
   /// Pumps the socket until a frame is complete or the deadline passes.
   std::optional<util::Bytes> read_frame(int timeout_ms);
   bool send_frame(std::span<const std::uint8_t> payload);
-  /// Handles one inbound inband packet. Fills `out_event` (and returns
-  /// true) for a surfaced notification; answers auth requests inline.
-  bool consume(const sdn::Packet& packet, Event* out_event);
+  /// Reads one frame before `deadline` and hands it to the session: auth
+  /// requests are answered inline, pushes queued, and the answer to an
+  /// outstanding query stored in `*answer` (if non-null). False (nothing
+  /// read) on deadline or a dead socket.
+  bool pump(std::chrono::steady_clock::time_point deadline,
+            std::optional<Outcome>* answer);
 
   WireClientConfig config_;
-  util::Rng rng_;
-  crypto::SigningKey key_;
-  crypto::BoxOpener box_;
+  core::ClientSession session_;
 
   int fd_ = -1;
-  bool hello_done_ = false;
   FrameDecoder decoder_;
-
-  sdn::HostId host_{};
-  control::HostAddress address_;
   sdn::PortRef access_point_{};
-  std::optional<crypto::VerifyKey> rvaas_key_;
-  std::optional<crypto::BigUInt> rvaas_box_pub_;
-
-  struct Subscription {
-    core::Property property;
-    std::uint64_t last_sequence = 0;
-  };
-  std::map<std::uint64_t, Subscription> subscriptions_;
-  std::deque<Event> event_queue_;  ///< pushes that arrived during query()
-  std::uint64_t next_request_id_ = 0;
-  Stats stats_;
+  std::deque<Event> event_queue_;  ///< pushes not yet handed out
 };
 
 }  // namespace rvaas::net

@@ -5,35 +5,29 @@
 
 namespace rvaas::core {
 
-ClientAgent::ClientAgent(sdn::HostId host, sdn::Network& net,
-                         const control::HostAddress& address, util::Rng rng)
-    : host_(host),
-      net_(&net),
-      address_(address),
-      rng_(std::move(rng)),
+ClientSession::ClientSession(util::Rng rng)
+    : rng_(std::move(rng)),
       key_(crypto::SigningKey::generate(rng_)),
-      box_(crypto::BoxOpener::generate(rng_)),
-      next_request_id_((static_cast<std::uint64_t>(host.value) << 32) | 1) {
-  const auto ports = net.topology().host_ports(host);
-  util::ensure(!ports.empty(), "client host has no access point");
-  access_point_ = ports.front();
-  net.register_host_receiver(host, [this](sdn::PortRef at,
-                                          const sdn::Packet& packet) {
-    on_packet(at, packet);
-  });
+      box_(crypto::BoxOpener::generate(rng_)) {}
+
+void ClientSession::bind(sdn::HostId host,
+                         const control::HostAddress& address) {
+  host_ = host;
+  address_ = address;
+  next_request_id_ = (static_cast<std::uint64_t>(host.value) << 32) | 1;
 }
 
-void ClientAgent::trust_rvaas(crypto::VerifyKey rvaas_key,
-                              crypto::BigUInt rvaas_box_pub) {
+void ClientSession::trust_rvaas(crypto::VerifyKey rvaas_key,
+                                crypto::BigUInt rvaas_box_pub) {
   rvaas_key_ = std::move(rvaas_key);
   rvaas_box_pub_ = std::move(rvaas_box_pub);
 }
 
-bool ClientAgent::verify_attestation(const enclave::Quote& quote,
-                                     const crypto::VerifyKey& ias_root,
-                                     const enclave::Measurement& expected,
-                                     const crypto::VerifyKey& rvaas_key,
-                                     const crypto::BigUInt& rvaas_box_pub) {
+bool ClientSession::verify_attestation(const enclave::Quote& quote,
+                                       const crypto::VerifyKey& ias_root,
+                                       const enclave::Measurement& expected,
+                                       const crypto::VerifyKey& rvaas_key,
+                                       const crypto::BigUInt& rvaas_box_pub) {
   ++stats_.crypto_ops;
   if (!enclave::AttestationService::verify(quote, ias_root, expected)) {
     return false;
@@ -46,10 +40,13 @@ bool ClientAgent::verify_attestation(const enclave::Quote& quote,
   return true;
 }
 
-std::uint64_t ClientAgent::send_query(const Query& query, Callback callback,
-                                      sim::Time timeout) {
+void ClientSession::require_trust() const {
   util::ensure(rvaas_box_pub_.has_value(),
                "client has not established trust in RVaaS");
+}
+
+ClientSession::Request ClientSession::seal_query(const Query& query) {
+  require_trust();
   QueryRequest request;
   request.request_id = next_request_id_++;
   request.client = host_;
@@ -57,32 +54,25 @@ std::uint64_t ClientAgent::send_query(const Query& query, Callback callback,
 
   ++stats_.queries_sent;
   ++stats_.crypto_ops;  // seal
-  const sdn::Packet packet =
-      inband::make_request_packet(address_, request, *rvaas_box_pub_, rng_);
-  net_->host_send(host_, access_point_, packet);
-
-  PendingQuery pending;
-  pending.callback = std::move(callback);
-  const std::uint64_t id = request.request_id;
-  pending.timeout = net_->loop().schedule_after(timeout, [this, id] {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    ++stats_.timeouts;
-    Outcome outcome;
-    outcome.timed_out = true;  // suppression / loss indicator
-    auto callback = std::move(it->second.callback);
-    pending_.erase(it);
-    callback(outcome);
-  });
-  pending_.emplace(id, std::move(pending));
-  return id;
+  outstanding_.insert(request.request_id);
+  return Request{request.request_id,
+                 inband::make_request_packet(address_, request,
+                                             *rvaas_box_pub_, rng_)};
 }
 
-std::uint64_t ClientAgent::subscribe(const Property& property,
-                                     MonitorCallback callback,
-                                     NotifyPolicy policy) {
-  util::ensure(rvaas_box_pub_.has_value(),
-               "client has not established trust in RVaaS");
+void ClientSession::expire(std::uint64_t request_id) {
+  if (outstanding_.erase(request_id) != 0) ++stats_.timeouts;
+}
+
+sdn::Packet ClientSession::seal_subscribe(const SubscribeRequest& request) {
+  stats_.crypto_ops += 2;  // sign + seal
+  return inband::make_subscribe_packet(address_, request, key_,
+                                       *rvaas_box_pub_, rng_);
+}
+
+ClientSession::Request ClientSession::subscribe(const Property& property,
+                                                NotifyPolicy policy) {
+  require_trust();
   SubscribeRequest request;
   request.subscription_id = next_request_id_++;
   request.client = host_;
@@ -93,19 +83,13 @@ std::uint64_t ClientAgent::subscribe(const Property& property,
   request.freshness = next_request_id_++;
 
   ++stats_.subscribes_sent;
-  stats_.crypto_ops += 2;  // sign + seal
-  net_->host_send(host_, access_point_,
-                  inband::make_subscribe_packet(address_, request, key_,
-                                                *rvaas_box_pub_, rng_));
-  subscriptions_[request.subscription_id] =
-      Subscription{property, std::move(callback), 0};
-  return request.subscription_id;
+  subscriptions_[request.subscription_id] = Subscription{property, 0};
+  return Request{request.subscription_id, seal_subscribe(request)};
 }
 
-void ClientAgent::unsubscribe(std::uint64_t subscription_id) {
-  if (subscriptions_.erase(subscription_id) == 0) return;
-  util::ensure(rvaas_box_pub_.has_value(),
-               "client has not established trust in RVaaS");
+std::optional<sdn::Packet> ClientSession::unsubscribe(
+    std::uint64_t subscription_id) {
+  if (subscriptions_.erase(subscription_id) == 0) return std::nullopt;
   SubscribeRequest request;
   request.subscription_id = subscription_id;
   request.client = host_;
@@ -113,21 +97,18 @@ void ClientAgent::unsubscribe(std::uint64_t subscription_id) {
   request.freshness = next_request_id_++;
 
   ++stats_.unsubscribes_sent;
-  stats_.crypto_ops += 2;  // sign + seal
-  net_->host_send(host_, access_point_,
-                  inband::make_subscribe_packet(address_, request, key_,
-                                                *rvaas_box_pub_, rng_));
+  return seal_subscribe(request);
 }
 
-void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
+ClientSession::Received ClientSession::receive(const sdn::Packet& packet) {
+  Received in;
   const auto tag = inband::classify(packet);
-  if (!tag) return;
+  if (!tag || !rvaas_key_) return in;
 
   if (*tag == inband::Tag::AuthRequest) {
-    if (!rvaas_key_) return;
     ++stats_.crypto_ops;  // verify
     const auto req = inband::verify_auth_request(packet, *rvaas_key_);
-    if (!req) return;
+    if (!req) return in;
     // Answer with a signed publication of our identity.
     inband::AuthReply reply;
     reply.request_id = req->request_id;
@@ -135,28 +116,27 @@ void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
     reply.client = host_;
     ++stats_.auth_requests_answered;
     ++stats_.crypto_ops;  // sign
-    net_->host_send(host_, at, inband::make_auth_reply(address_, reply, key_));
-    return;
+    in.auth_reply = inband::make_auth_reply(address_, reply, key_);
+    return in;
   }
 
   if (*tag == inband::Tag::Notify) {
-    if (!rvaas_key_) return;
-    ++stats_.crypto_ops;  // open + verify
+    stats_.crypto_ops += 2;  // open + verify
     const auto opened = inband::open_notify(packet, box_, *rvaas_key_);
     if (!opened) {
       ++stats_.bad_notifications;
-      return;
+      return in;
     }
     const Notification& n = opened->notification;
     const auto it = subscriptions_.find(n.subscription_id);
-    if (it == subscriptions_.end()) return;  // unsubscribed / never ours
+    if (it == subscriptions_.end()) return in;  // unsubscribed / never ours
     Subscription& sub = it->second;
     if (!opened->signature_ok || n.sequence <= sub.last_sequence ||
         n.property_fingerprint != sub.property.fingerprint()) {
       // Forged, tampered, replayed/reordered, or answering a different
       // property than the one subscribed: never surface it.
       ++stats_.bad_notifications;
-      return;
+      return in;
     }
     sub.last_sequence = n.sequence;
     ++stats_.notifications_received;
@@ -175,7 +155,7 @@ void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
         break;
     }
 
-    MonitorEvent event;
+    Event event;
     event.subscription_id = n.subscription_id;
     event.signature_ok = opened->signature_ok;
     event.kind = n.kind;
@@ -183,23 +163,18 @@ void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
     event.epoch = n.epoch;
     event.reply = n.reply;
     event.verdict = evaluate_reply(n.reply, sub.property.expect);
-    // Copy out: the callback may unsubscribe (destroying `sub`) from inside.
-    const MonitorCallback callback = sub.callback;
-    callback(event);
-    return;
+    in.event = std::move(event);
+    return in;
   }
 
   if (*tag == inband::Tag::Reply) {
-    if (!rvaas_key_) return;
-    ++stats_.crypto_ops;  // open + verify
+    stats_.crypto_ops += 2;  // open + verify
     const auto opened = inband::open_reply(packet, box_, *rvaas_key_);
     if (!opened) {
       ++stats_.bad_replies;
-      return;
+      return in;
     }
-    const auto it = pending_.find(opened->reply.request_id);
-    if (it == pending_.end()) return;
-    net_->loop().cancel(it->second.timeout);
+    if (outstanding_.erase(opened->reply.request_id) == 0) return in;
     ++stats_.replies_received;
     if (!opened->signature_ok) ++stats_.bad_replies;
 
@@ -210,9 +185,74 @@ void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
                     (!opened->reply.freshness.unreachable.empty() ||
                      opened->reply.freshness.max_staleness > max_staleness_);
     outcome.reply = opened->reply;
-    auto callback = std::move(it->second.callback);
-    pending_.erase(it);
-    callback(outcome);
+    in.answer = std::move(outcome);
+  }
+  return in;
+}
+
+ClientAgent::ClientAgent(sdn::HostId host, sdn::Network& net,
+                         const control::HostAddress& address, util::Rng rng)
+    : net_(&net), session_(std::move(rng)) {
+  session_.bind(host, address);
+  const auto ports = net.topology().host_ports(host);
+  util::ensure(!ports.empty(), "client host has no access point");
+  access_point_ = ports.front();
+  net.register_host_receiver(host, [this](sdn::PortRef at,
+                                          const sdn::Packet& packet) {
+    on_packet(at, packet);
+  });
+}
+
+std::uint64_t ClientAgent::send_query(const Query& query, Callback callback,
+                                      sim::Time timeout) {
+  const ClientSession::Request request = session_.seal_query(query);
+  net_->host_send(host(), access_point_, request.packet);
+
+  const std::uint64_t id = request.id;
+  const sim::EventId timer = net_->loop().schedule_after(timeout, [this, id] {
+    auto node = pending_.extract(id);
+    if (node.empty()) return;
+    session_.expire(id);
+    Outcome outcome;
+    outcome.timed_out = true;  // suppression / loss indicator
+    node.mapped().callback(outcome);
+  });
+  pending_.emplace(id, PendingQuery{std::move(callback), timer});
+  return id;
+}
+
+std::uint64_t ClientAgent::subscribe(const Property& property,
+                                     MonitorCallback callback,
+                                     NotifyPolicy policy) {
+  const ClientSession::Request request = session_.subscribe(property, policy);
+  net_->host_send(host(), access_point_, request.packet);
+  callbacks_[request.id] = std::move(callback);
+  return request.id;
+}
+
+void ClientAgent::unsubscribe(std::uint64_t subscription_id) {
+  callbacks_.erase(subscription_id);
+  if (const auto packet = session_.unsubscribe(subscription_id)) {
+    net_->host_send(host(), access_point_, *packet);
+  }
+}
+
+void ClientAgent::on_packet(sdn::PortRef at, const sdn::Packet& packet) {
+  ClientSession::Received in = session_.receive(packet);
+  if (in.auth_reply) net_->host_send(host(), at, *in.auth_reply);
+
+  if (in.answer) {
+    auto node = pending_.extract(in.answer->reply->request_id);
+    if (node.empty()) return;
+    net_->loop().cancel(node.mapped().timeout);
+    node.mapped().callback(*in.answer);
+  }
+
+  if (in.event) {
+    // Copy out: the callback may unsubscribe (dropping its entry) from
+    // inside.
+    const MonitorCallback callback = callbacks_.at(in.event->subscription_id);
+    callback(*in.event);
   }
 }
 

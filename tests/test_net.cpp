@@ -3,15 +3,22 @@
 // table must enforce slot semantics, and a TCP session must be
 // indistinguishable from an in-process agent — byte-identical replies for
 // every QueryKind, working subscription pushes, and eviction (not a wedged
-// sweep) when its socket dies.
+// sweep) when its socket dies. A client that never established trust must
+// refuse requests explicitly.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 #include "workload/wire_world.hpp"
 
@@ -150,6 +157,45 @@ TEST(SessionTable, SlotSemantics) {
   EXPECT_FALSE(table.release(10).has_value());  // idempotent
   EXPECT_FALSE(table.owner_of_host(HostId(1001)).has_value());
   EXPECT_EQ(table.claim(1001, 13, &got), WelcomeStatus::Ok);
+}
+
+// --- client preconditions ---
+
+TEST(WireClient, RequestsBeforeTrustFailExplicitly) {
+  // A bound socket that never listens refuses the connection, so the client
+  // never gets to pin the RVaaS keys.
+  const int refuser = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(refuser, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(refuser, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::getsockname(refuser, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  WireClientConfig config;
+  config.port = ntohs(addr.sin_port);
+  WireClient client(config);
+  EXPECT_EQ(client.connect(), WelcomeStatus::BadHello);
+  EXPECT_FALSE(client.connected());
+  ::close(refuser);
+
+  Property property;
+  property.kind = QueryKind::ReachableEndpoints;
+  EXPECT_THROW(client.subscribe(property), util::InvariantViolation);
+  // Nothing was recorded: the id that subscribe would have drawn (ids start
+  // at 0 before a host is bound) is no live subscription, so this is a no-op.
+  client.unsubscribe(0);
+  const auto outcome = client.query(property.query(), 100);
+  EXPECT_TRUE(outcome.timed_out);
+  EXPECT_FALSE(outcome.reply.has_value());
+
+  const WireClient::Stats& stats = client.stats();
+  EXPECT_EQ(stats.subscribes_sent, 0u);
+  EXPECT_EQ(stats.unsubscribes_sent, 0u);
+  EXPECT_EQ(stats.queries_sent, 0u);
+  EXPECT_EQ(stats.crypto_ops, 0u);  // nothing signed or sealed
 }
 
 // --- live server fixtures ---

@@ -4,7 +4,12 @@
 //
 // Quantifies leakage: how many internal switches/links a curious client can
 // enumerate from query answers, under the EndpointsOnly policy vs the
-// FullPaths strawman; plus the sealed-request property.
+// FullPaths strawman; plus the sealed-request property. Exits non-zero
+// unless EndpointsOnly leaks nothing, FullPaths leaks something, and only
+// the enclave can open a sealed query.
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <cstdio>
 #include <set>
@@ -73,7 +78,8 @@ std::size_t run_policy(core::ConfidentialityPolicy policy,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E5: topology confidentiality — internal switches a curious");
   std::puts("client coalition (all 8 clients) can enumerate from reach-query");
   std::puts("answers on a fat-tree(4) with 12 internal switches.\n");
@@ -108,11 +114,23 @@ int main() {
       core::inband::open_request(packet, provider_spy).has_value();
   const bool rvaas_reads =
       core::inband::open_request(packet, rvaas_enclave).has_value();
-  std::printf("  provider can read query: %s\n", provider_reads ? "YES" : "no");
-  std::printf("  RVaaS enclave can read query: %s\n", rvaas_reads ? "yes" : "NO");
+  util::Table sealed({"party", "can-read-query"});
+  sealed.add_row({"provider", provider_reads ? "YES" : "no"});
+  sealed.add_row({"rvaas-enclave", rvaas_reads ? "yes" : "NO"});
+  sealed.print();
 
   std::puts("\nShape check: the default policy leaks 0 internal switches;");
-  std::puts("the strawman leaks the full core. Queries are opaque to the");
+  std::printf("the strawman leaks %zu of %zu. Queries are opaque to the\n",
+              full_paths, internal);
   std::puts("provider.");
-  return 0;
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json,
+                               {{"leakage", &table}, {"sealed", &sealed}})) {
+    return 1;
+  }
+  const bool ok = endpoints_only == 0 && full_paths > 0 && !provider_reads &&
+                  rvaas_reads;
+  if (!ok) std::puts("FAIL: confidentiality claim does not hold");
+  return ok ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "crypto/seal.hpp"
 #include "crypto/sign.hpp"
@@ -107,14 +106,8 @@ util::Table budget_comparison(std::uint64_t rvaas_ops) {
 int main(int argc, char** argv) {
   const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
 
-  util::Table host({"nproc", "compiler", "build-type", "git-sha"});
-  host.add_row({std::to_string(std::thread::hardware_concurrency()),
-                RVAAS_COMPILER, RVAAS_BUILD_TYPE, RVAAS_GIT_SHA});
-  std::puts("host:");
-  host.print();
-
   const util::Table primitives = time_primitives(args.smoke ? 5 : 500);
-  std::puts("\nasymmetric primitives, per call:");
+  std::puts("asymmetric primitives, per call:");
   primitives.print();
 
   const std::uint64_t rvaas_ops = ops_per_query();
@@ -130,8 +123,7 @@ int main(int argc, char** argv) {
   std::puts("volume, as the paper requires.)");
 
   if (!args.json.empty()) {
-    if (!util::write_json_tables(args.json, {{"host", &host},
-                                             {"primitives", &primitives},
+    if (!util::write_json_tables(args.json, {{"primitives", &primitives},
                                              {"budget", &budget}})) {
       return 1;
     }

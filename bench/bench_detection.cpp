@@ -2,7 +2,11 @@
 // (RVaaS queries, traceroute, trajectory sampling, path tagging), under the
 // adversarial provider of the paper's threat model (§III). Baselines face
 // the counter-strategies §I describes (spoofed replies, censored reports,
-// rewritten tags). Reproduces the paper's core comparative claim.
+// rewritten tags). Reproduces the paper's core comparative claim; exits
+// non-zero unless RVaaS detects every attack.
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <cstdio>
 #include <functional>
@@ -95,13 +99,19 @@ const char* mark(bool detected) { return detected ? "DETECTED" : "missed"; }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E2: detection matrix under an adversarial provider.");
   std::puts("Baselines face the paper's counter-strategies: spoofed");
   std::puts("traceroute replies, censored sampling reports, rewritten tags.\n");
 
   util::Table table(
       {"attack", "rvaas", "traceroute", "traj-sampling", "path-tagging"});
+  bool rvaas_all = true;
+  const auto rvaas_mark = [&rvaas_all](bool detected) {
+    rvaas_all &= detected;
+    return mark(detected);
+  };
 
   // --- exfiltration ---
   {
@@ -110,7 +120,8 @@ int main() {
     attack.launch(s.runtime->provider(), s.runtime->network());
     s.runtime->settle();
     table.add_row({"exfiltration",
-                   mark(rvaas_detects(s, core::QueryKind::ReachableEndpoints)),
+                   rvaas_mark(rvaas_detects(
+                       s, core::QueryKind::ReachableEndpoints)),
                    mark(traceroute_detects(s)), mark(sampling_detects(s)),
                    mark(tagging_detects(s))});
   }
@@ -123,7 +134,7 @@ int main() {
     attack.launch(s.runtime->provider(), s.runtime->network());
     s.runtime->settle();
     table.add_row({"join-attack",
-                   mark(rvaas_detects(s, core::QueryKind::Isolation)),
+                   rvaas_mark(rvaas_detects(s, core::QueryKind::Isolation)),
                    mark(traceroute_detects(s)), mark(sampling_detects(s)),
                    mark(tagging_detects(s))});
   }
@@ -134,7 +145,8 @@ int main() {
     attack.launch(s.runtime->provider(), s.runtime->network());
     s.runtime->settle();
     table.add_row({"geo-diversion",
-                   mark(rvaas_detects(s, core::QueryKind::Geo, {"DE", "FR"})),
+                   rvaas_mark(rvaas_detects(s, core::QueryKind::Geo,
+                                            {"DE", "FR"})),
                    mark(traceroute_detects(s)), mark(sampling_detects(s)),
                    mark(tagging_detects(s))});
   }
@@ -150,7 +162,8 @@ int main() {
     s.peer = hosts[0];
     s.tenant_members = {hosts[0], hosts[2], hosts[4]};
     table.add_row({"isolation-breach",
-                   mark(rvaas_detects(s, core::QueryKind::ReachingSources)),
+                   rvaas_mark(rvaas_detects(
+                       s, core::QueryKind::ReachingSources)),
                    mark(traceroute_detects(s)), mark(sampling_detects(s)),
                    mark(tagging_detects(s))});
   }
@@ -165,7 +178,7 @@ int main() {
     const bool rvaas_sees =
         !s.runtime->rvaas().snapshot().short_lived(5 * sim::kMillisecond).empty();
     // Baselines sample between dwells: the transient rule is gone.
-    table.add_row({"reconfig-flapping", mark(rvaas_sees),
+    table.add_row({"reconfig-flapping", rvaas_mark(rvaas_sees),
                    mark(traceroute_detects(s)), mark(sampling_detects(s)),
                    mark(tagging_detects(s))});
   }
@@ -177,12 +190,19 @@ int main() {
     s.runtime->settle();
     // Baselines do not interact with the RVaaS channel at all: n/a -> missed.
     table.add_row({"query-suppression",
-                   mark(rvaas_detects(s, core::QueryKind::ReachableEndpoints)),
+                   rvaas_mark(rvaas_detects(
+                       s, core::QueryKind::ReachableEndpoints)),
                    "n/a", "n/a", "n/a"});
   }
 
   table.print();
   std::puts("\nShape check (paper §I): RVaaS detects every attack; the");
   std::puts("baselines are defeated by the adversarial control plane.");
-  return 0;
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json, {{"detection", &table}})) {
+    return 1;
+  }
+  if (!rvaas_all) std::puts("FAIL: RVaaS missed an attack");
+  return rvaas_all ? 0 : 1;
 }

@@ -1,6 +1,11 @@
 // E10 (§IV.C.b): fairness / network-neutrality checking via meter tables.
 // Clients in differently-metered tenants query their minimum configured
-// rate; the verdict comparison exposes discriminatory shaping.
+// rate; the verdict comparison exposes discriminatory shaping. Exits
+// non-zero unless equal meters read as no discrimination and unequal ones
+// as visible discrimination.
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <cstdio>
 
@@ -55,7 +60,8 @@ std::string rate_str(std::uint64_t bps) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E10: fairness / network-neutrality verification via meter");
   std::puts("tables (§IV.C.b). Two tenants, differing meter configurations;");
   std::puts("each client queries the tightest rate applied to its traffic.\n");
@@ -70,8 +76,10 @@ int main() {
       {10'000'000, 100'000'000},   // tenant 1 throttled
       {10'000'000, 0},             // tenant 1 metered, tenant 2 free
   };
+  bool ok = true;
   for (const auto& c : cases) {
     const CaseResult r = run_case(c.r1, c.r2);
+    ok &= r.discrimination_visible == (c.r1 != c.r2);
     table.add_row({c.r1 ? rate_str(c.r1) : "none",
                    c.r2 ? rate_str(c.r2) : "none", rate_str(r.tenant1_rate),
                    rate_str(r.tenant2_rate),
@@ -83,5 +91,11 @@ int main() {
   std::puts("\nShape check: equal treatment yields equal answers; any");
   std::puts("differential shaping surfaces as a reported rate difference a");
   std::puts("client coalition can compare out of band.");
-  return 0;
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json, {{"fairness", &table}})) {
+    return 1;
+  }
+  if (!ok) std::puts("FAIL: reported discrimination does not match meters");
+  return ok ? 0 : 1;
 }

@@ -1,7 +1,13 @@
-// Federated policy-verification scoreboard: how fast are PolicyCompliance
-// walks over growing AS graphs, and does the detector still catch the two
-// inter-domain attack families at every scale?
+// Federated verification scoreboard: how do recursive queries scale with
+// the number of providers, how fast are PolicyCompliance walks over growing
+// AS graphs, and does the detector still catch the two inter-domain attack
+// families at every scale?
 //
+//   E8 chain         (§IV.C.a) 1 / 2 / 4 / 6 / 8 single-line domains peered
+//                    tail-to-head (also in smoke: it takes well under a
+//                    second); one ReachableEndpoints query from the head
+//                    must find the endpoint in the last domain through one
+//                    signed RVaaS-to-RVaaS subquery per domain crossed.
 //   domains ladder   4 / 8 / 16 domains (smoke: 4 only). Each domain is a
 //                    full ScenarioRuntime; tier-0 cores are fat-tree(4)
 //                    fabrics, everyone else a small random ISP mesh. The
@@ -16,14 +22,16 @@
 //                    RouteLeak) by a walk at the attacked ingress, then
 //                    reverted.
 //
-// Acceptance: both attack families detected on every rung (verdict rows,
-// non-zero exit otherwise).
+// Acceptance: the chain finds its remote endpoint with providers - 1
+// subqueries on every rung, and both attack families are detected on every
+// AS rung (verdict rows, non-zero exit otherwise).
 //
-// Flags: --smoke (4 domains only, CI mode)   --json FILE (machine output)
+// Flags: --smoke (4 AS domains only, CI mode)   --json FILE (machine output)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,6 +40,7 @@
 #include "hsa/transfer.hpp"
 #include "util/stats.hpp"
 #include "workload/as_world.hpp"
+#include "workload/scenario.hpp"
 
 using namespace rvaas;
 using Clock = std::chrono::steady_clock;
@@ -43,6 +52,80 @@ using core::PolicyReportItem;
 using core::PolicyVerdict;
 using sdn::Field;
 using sdn::Match;
+
+/// A chain of N single-line domains, peered tail-to-head, with a
+/// through-route installed in each.
+struct Chain {
+  std::vector<std::unique_ptr<workload::ScenarioRuntime>> domains;
+  core::Federation fed;
+
+  explicit Chain(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      workload::ScenarioConfig config;
+      config.generated = workload::linear(3);
+      config.seed = 200 + i;
+      domains.push_back(
+          std::make_unique<workload::ScenarioRuntime>(std::move(config)));
+      fed.add_domain(core::ProviderId(static_cast<std::uint32_t>(i + 1)),
+                     domains.back()->rvaas());
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      fed.add_peering(core::ProviderId(static_cast<std::uint32_t>(i + 1)),
+                      {sdn::SwitchId(3), sdn::PortNo(3)},
+                      core::ProviderId(static_cast<std::uint32_t>(i + 2)),
+                      {sdn::SwitchId(1), sdn::PortNo(3)});
+    }
+    // Through-routing inside every domain.
+    const sdn::ControllerId prov(1);
+    auto fwd = [](std::uint16_t prio, sdn::PortNo in, sdn::PortNo out) {
+      sdn::FlowMod m;
+      m.priority = prio;
+      m.match = sdn::Match().in_port(in);
+      m.actions = {sdn::output(out)};
+      return m;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& net = domains[i]->network();
+      const sdn::PortNo entry = i == 0 ? sdn::PortNo(2) : sdn::PortNo(3);
+      const sdn::PortNo exit =
+          i + 1 < n ? sdn::PortNo(3) : sdn::PortNo(2);  // last: to its host
+      net.switch_sim(sdn::SwitchId(1))
+          .apply_flow_mod(prov, fwd(40, entry, sdn::PortNo(1)));
+      net.switch_sim(sdn::SwitchId(2))
+          .apply_flow_mod(prov, fwd(40, sdn::PortNo(0), sdn::PortNo(1)));
+      net.switch_sim(sdn::SwitchId(3))
+          .apply_flow_mod(prov, fwd(40, sdn::PortNo(0), exit));
+      domains[i]->settle();
+    }
+  }
+};
+
+/// E8: one chain per rung; true iff every rung finds the last domain's
+/// endpoint through exactly one subquery per domain crossed.
+bool run_chain_ladder(util::Table& table) {
+  bool ok = true;
+  for (const std::size_t n : {1u, 2u, 4u, 6u, 8u}) {
+    Chain chain(n);
+    const auto t0 = Clock::now();
+    const auto result =
+        chain.fed.reachable(core::ProviderId(1),
+                            {sdn::SwitchId(1), sdn::PortNo(2)}, sdn::Match(),
+                            /*max_domains=*/16);
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    const core::ProviderId last(static_cast<std::uint32_t>(n));
+    bool remote = false;
+    for (const auto& e : result.endpoints) {
+      remote |= e.provider == last && !e.info.dark;
+    }
+    ok &= remote && result.subqueries == n - 1;
+    table.add_row({std::to_string(n), std::to_string(result.domains_visited),
+                   std::to_string(result.subqueries),
+                   std::to_string(result.endpoints.size()),
+                   remote ? "found" : "MISSING", util::Table::fmt(ms, 2)});
+  }
+  return ok;
+}
 
 Match dst_tcp(std::uint32_t dst) {
   // TCP keeps the walk space clear of the UDP in-band RVaaS rules.
@@ -168,7 +251,14 @@ Rung run_rung(std::uint32_t n_domains) {
 int main(int argc, char** argv) {
   const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
 
-  std::puts("federated policy verification: PolicyCompliance walk sweeps");
+  std::puts("E8: federated (multi-provider) recursive queries over a chain");
+  std::puts("of domains; each hop is a signed RVaaS-to-RVaaS subquery.\n");
+  util::Table chain({"providers", "domains-visited", "subqueries",
+                     "endpoints", "remote-endpoint", "cpu-ms"});
+  const bool chain_ok = run_chain_ladder(chain);
+  chain.print();
+
+  std::puts("\nfederated policy verification: PolicyCompliance walk sweeps");
   std::puts("over generated AS graphs, plus per-rung detection sanity for");
   std::puts("route-origin-hijack and route-leak.\n");
 
@@ -195,6 +285,10 @@ int main(int argc, char** argv) {
 
   bool all_detected = true;
   util::Table verdicts({"criterion", "target", "measured", "ok"});
+  verdicts.add_row({"E8 chain @1-8 providers",
+                    "remote endpoint found, providers-1 subqueries",
+                    chain_ok ? "every rung" : "not every rung",
+                    chain_ok ? "yes" : "NO"});
   for (const Rung& rung : rungs) {
     const bool ok = rung.hijack_detected && rung.leak_detected;
     all_detected &= ok;
@@ -209,10 +303,11 @@ int main(int argc, char** argv) {
   verdicts.print();
 
   if (!args.json.empty()) {
-    if (!util::write_json_tables(
-            args.json, {{"ladder", &table}, {"verdicts", &verdicts}})) {
+    if (!util::write_json_tables(args.json, {{"chain", &chain},
+                                             {"ladder", &table},
+                                             {"verdicts", &verdicts}})) {
       return 1;
     }
   }
-  return all_detected ? 0 : 1;
+  return chain_ok && all_detected ? 0 : 1;
 }

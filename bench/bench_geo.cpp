@@ -1,7 +1,11 @@
 // E6 (§IV.B.2): geo-location checks with the paper's three location
 // sources — provider-disclosed, crowd-sourced, geo-IP-inferred — at varying
 // report error rates. Measures jurisdiction-set accuracy (Jaccard index
-// against ground truth) and diversion-detection rate.
+// against ground truth) and diversion-detection rate; exits non-zero unless
+// the disclosed source is exact and every row detects the diversion.
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <cstdio>
 #include <set>
@@ -99,7 +103,8 @@ CaseResult run_case(const std::string& source, double error_rate,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E6: geo-query accuracy (Jaccard vs ground truth) and diversion");
   std::puts("detection for the three location sources of §IV.B.2.\n");
 
@@ -112,8 +117,11 @@ int main() {
       {"crowd", 0.5},     {"geo-ip", 0.0}, {"geo-ip", 0.2},
       {"geo-ip", 0.5},
   };
+  bool ok = true;
   for (const auto& c : cases) {
     const CaseResult r = run_case(c.source, c.err, 23);
+    ok &= r.detects_diversion &&
+          (std::string(c.source) != "disclosed" || r.accuracy == 1.0);
     table.add_row({c.source, util::Table::fmt(c.err * 100, 0) + "%",
                    util::Table::fmt(r.accuracy * 100, 1) + "%",
                    r.detects_diversion ? "yes" : "NO"});
@@ -123,5 +131,11 @@ int main() {
   std::puts("\nShape check: disclosed locations are exact; crowd-sourced");
   std::puts("and geo-IP sources degrade gracefully with report error, and");
   std::puts("coarse sources still catch a cross-jurisdiction diversion.");
-  return 0;
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json, {{"geo", &table}})) {
+    return 1;
+  }
+  if (!ok) std::puts("FAIL: disclosed source inexact or a diversion missed");
+  return ok ? 0 : 1;
 }

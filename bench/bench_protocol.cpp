@@ -4,6 +4,9 @@
 // Series: topology | switches | hosts | endpoints | auth issued | latency
 // (simulated ms) | packet-ins | packet-outs | host CPU ms (controller-side
 // compute, wall clock).
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <chrono>
 #include <cstdio>
@@ -62,7 +65,8 @@ void run_case(util::Table& table, Row row) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E1: integrity-query protocol (Fig. 1 + Fig. 2), latency and");
   std::puts("message cost vs topology. Latency includes the auth round-trip");
   std::puts("and the controller's auth-timeout finalization.\n");
@@ -82,5 +86,10 @@ int main() {
   std::puts("(replies finalize early once every endpoint authenticates) and");
   std::puts("is independent of network size; message counts grow linearly");
   std::puts("in the number of reachable endpoints, not in network size.");
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json, {{"protocol", &table}})) {
+    return 1;
+  }
   return 0;
 }

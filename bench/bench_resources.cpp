@@ -4,6 +4,9 @@
 //
 // Measures the controller's snapshot + history memory, flow-event ingest
 // rate, and per-query CPU time as the network scales.
+//
+// Flags: --smoke (same sizes: the full run is already CI-sized)
+//        --json FILE (machine output)
 
 #include <chrono>
 #include <cstdio>
@@ -68,7 +71,8 @@ void run_case(util::Table& table, const std::string& name,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::BenchArgs args = util::BenchArgs::parse(argc, argv);
   std::puts("E7: RVaaS controller resource footprint vs network size.");
   std::puts("No live traffic is inspected: state = configuration snapshot +");
   std::puts("bounded history; CPU = logical verification per query.\n");
@@ -86,5 +90,10 @@ int main() {
   std::puts("not traffic volume); event ingest is far above realistic");
   std::puts("control-plane change rates; queries take milliseconds - no");
   std::puts("strict latency requirement, as the paper claims.");
+
+  if (!args.json.empty() &&
+      !util::write_json_tables(args.json, {{"resources", &table}})) {
+    return 1;
+  }
   return 0;
 }

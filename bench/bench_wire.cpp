@@ -21,7 +21,6 @@
 // throughput to improve.
 //
 // Flags: --smoke (8 connections, 1 rung, CI gate)   --json FILE
-//        --connections N,M,...|N..M   --io-threads N,M,...|N..M
 
 #include <algorithm>
 #include <atomic>
@@ -254,14 +253,12 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
 
   const std::vector<std::size_t> conn_ladder =
-      !args.connections.empty() ? args.connections
-      : args.smoke              ? std::vector<std::size_t>{8}
-                                : std::vector<std::size_t>{64, 256};
+      args.smoke ? std::vector<std::size_t>{8}
+                 : std::vector<std::size_t>{64, 256};
   // The crypto offload only shows with real cores; keep 1-core CI honest.
   const std::vector<std::size_t> io_ladder =
-      !args.io_threads.empty() ? args.io_threads
-      : (args.smoke || hw < 4) ? std::vector<std::size_t>{1}
-                               : std::vector<std::size_t>{1, 4};
+      (args.smoke || hw < 4) ? std::vector<std::size_t>{1}
+                             : std::vector<std::size_t>{1, 4};
 
   std::puts("wire front-end load: loopback TCP sessions, mixed one-shot");
   std::puts("queries (sealed envelopes, signed replies) + EveryChange");

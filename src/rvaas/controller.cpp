@@ -425,9 +425,9 @@ void RvaasController::admit_request(const QueryRequest& request,
   pending.request_point = request_point;
 
   // Logical verification on the current snapshot, through the single
-  // per-kind dispatch (QueryEngine::evaluate) shared with the batch,
-  // federation and monitor paths. The footprint is kept: finalize() stamps
-  // the reply's freshness section over exactly those switches.
+  // per-kind dispatch (QueryEngine::evaluate) shared with the federation
+  // and monitor paths. The footprint is kept: finalize() stamps the reply's
+  // freshness section over exactly those switches.
   const hsa::NetworkModel model = engine_.model(snapshot_);
   QueryEngine::EvalContext ctx;
   ctx.from = pending.request_point;

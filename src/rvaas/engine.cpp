@@ -214,8 +214,8 @@ ReachCache::ResultPtr ReachCache::reach(const hsa::NetworkModel& model,
   }
   ++stats_.misses;
 
-  // Compute outside the lock so concurrent misses (run_batch, reach_all)
-  // traverse in parallel; the model is immutable.
+  // Compute outside the lock so concurrent misses (reach_all, the monitor
+  // sweep) traverse in parallel; the model is immutable.
   lock.unlock();
   auto result =
       std::make_shared<const hsa::ReachabilityResult>(
@@ -588,36 +588,6 @@ QueryEngine::Evaluation QueryEngine::evaluate(const SnapshotManager& snap,
                                               const Property& property,
                                               const EvalContext& ctx) const {
   return evaluate(model(snap), snap, property, ctx);
-}
-
-QueryEngine::Answer QueryEngine::answer(const hsa::NetworkModel& model,
-                                        const SnapshotManager& snap,
-                                        const Query& query,
-                                        const EvalContext& ctx) const {
-  Evaluation eval = evaluate(model, snap, Property::from_query(query), ctx);
-  return Answer{std::move(eval.reply), std::move(eval.to_authenticate)};
-}
-
-std::vector<QueryReply> QueryEngine::run_batch(const SnapshotManager& snap,
-                                               std::span<const Query> queries,
-                                               std::size_t threads,
-                                               const BatchContext& ctx) const {
-  util::ThreadPool pool(threads <= 1 ? 0 : threads - 1);
-  return run_batch(snap, queries, pool, ctx);
-}
-
-std::vector<QueryReply> QueryEngine::run_batch(const SnapshotManager& snap,
-                                               std::span<const Query> queries,
-                                               util::ThreadPool& pool,
-                                               const BatchContext& ctx) const {
-  // One compilation of the snapshot amortizes over the whole batch; the
-  // resulting model is immutable, so queries read it concurrently.
-  const hsa::NetworkModel compiled = model(snap);
-  std::vector<QueryReply> replies(queries.size());
-  pool.parallel_for(queries.size(), [&](std::size_t i) {
-    replies[i] = answer(compiled, snap, queries[i], ctx).reply;
-  });
-  return replies;
 }
 
 std::vector<std::string> QueryEngine::render_paths(

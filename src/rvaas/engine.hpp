@@ -7,7 +7,6 @@
 #include <array>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 
 #include "controlplane/routing.hpp"
@@ -90,7 +89,7 @@ class CompiledModelCache {
 /// (shard.hpp) with per-shard coverage masks, so the eviction walk visits
 /// only shards the churn can touch — eviction cost tracks the dirty
 /// partition, not total cache size. Thread-safe; misses compute outside the
-/// lock, so concurrent lookups (run_batch, reach_all) parallelize.
+/// lock, so concurrent lookups (reach_all, the monitor sweep) parallelize.
 class ReachCache {
  public:
   using ResultPtr = std::shared_ptr<const hsa::ReachabilityResult>;
@@ -208,7 +207,7 @@ class QueryEngine {
 
   /// Compiles the snapshot into a logical network model through the
   /// engine's CompiledModelCache: only switches whose table epoch advanced
-  /// since the last call are recompiled. Single-query, batch and polling
+  /// since the last call are recompiled. Single-query, monitor and polling
   /// paths all funnel through here, so they share one cache. Results are
   /// identical to model_uncached(). With a pool (the monitor sweep passes
   /// its own), recompiles fan out grouped by switch partition; never pass a
@@ -217,7 +216,7 @@ class QueryEngine {
                           util::ThreadPool* pool = nullptr) const;
 
   /// Cold path: full recompilation of every switch, bypassing the cache
-  /// (the baseline for bench_incremental and the equivalence tests).
+  /// (the baseline for bench_reach_cache and the equivalence tests).
   hsa::NetworkModel model_uncached(const SnapshotManager& snap) const;
 
   /// Counters of the engine's model cache (L1).
@@ -243,9 +242,9 @@ class QueryEngine {
 
   /// All-pairs reachability: one reach per access point within `hs`, fanned
   /// out over `pool` and served through / stored into the ReachCache, so a
-  /// sweep leaves every per-ingress result warm for the single-query, batch
-  /// and federation paths. Results are positionally identical to sequential
-  /// engine.reach() calls per access point.
+  /// sweep leaves every per-ingress result warm for the single-query,
+  /// monitor and federation paths. Results are positionally identical to
+  /// sequential engine.reach() calls per access point.
   std::vector<IngressReach> reach_all(const SnapshotManager& snap,
                                       const hsa::HeaderSpace& hs,
                                       util::ThreadPool& pool) const;
@@ -349,13 +348,11 @@ class QueryEngine {
     /// not the requester.
     bool exclude_requester = true;
   };
-  /// Historical name from the batch-only days; same structure.
-  using BatchContext = EvalContext;
 
   /// The logical step of verifying one Property: everything the engine can
   /// compute from the snapshot alone — THE single per-QueryKind dispatch.
-  /// One-shot queries, batches, federated subqueries and the push monitor
-  /// all funnel through here. `to_authenticate` lists the access points the
+  /// One-shot queries, federated subqueries and the push monitor all
+  /// funnel through here. `to_authenticate` lists the access points the
   /// caller (the controller) still has to probe in-band; it never includes
   /// `ctx.from` (unless ctx.exclude_requester is off) and is empty for query
   /// kinds without endpoint answers.
@@ -380,32 +377,6 @@ class QueryEngine {
   /// As above, compiling the snapshot through the L1 cache first.
   Evaluation evaluate(const SnapshotManager& snap, const Property& property,
                       const EvalContext& ctx) const;
-
-  /// The logical step of one query, without expectation/footprint baggage —
-  /// a thin adapter over evaluate() kept for the one-shot and batch paths.
-  struct Answer {
-    QueryReply reply;
-    std::vector<sdn::PortRef> to_authenticate;
-  };
-  Answer answer(const hsa::NetworkModel& model, const SnapshotManager& snap,
-                const Query& query, const EvalContext& ctx) const;
-
-  /// Batch path: compiles the snapshot's network model ONCE and answers all
-  /// queries against that immutable model, fanned out over `threads` threads
-  /// (<= 1 runs sequentially inline). Results are positionally identical to
-  /// calling answer() per query, including the confidentiality redaction.
-  /// Spawns a pool per call; callers issuing many batches should hold a
-  /// util::ThreadPool and use the overload below to amortize thread spawn.
-  std::vector<QueryReply> run_batch(const SnapshotManager& snap,
-                                    std::span<const Query> queries,
-                                    std::size_t threads,
-                                    const BatchContext& ctx) const;
-
-  /// As above, fanned out over an existing pool (reused across batches).
-  std::vector<QueryReply> run_batch(const SnapshotManager& snap,
-                                    std::span<const Query> queries,
-                                    util::ThreadPool& pool,
-                                    const BatchContext& ctx) const;
 
   const EngineConfig& config() const { return config_; }
   /// The wiring plan this engine compiles models against.

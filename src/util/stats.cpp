@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 
 #include "util/ensure.hpp"
 
@@ -143,58 +144,6 @@ std::string Table::fmt(double v, int precision) {
   return buf;
 }
 
-namespace {
-
-/// Parses "N,M,..." or "N..M" (log-spaced 1x/3x ladder, M inclusive) into
-/// an ascending count list; false on malformed input.
-bool parse_subs_ladder(const std::string& text,
-                       std::vector<std::size_t>* out) {
-  const auto parse_count = [](const std::string& s, std::size_t* v) {
-    if (s.empty()) return false;
-    std::size_t pos = 0;
-    unsigned long long raw = 0;
-    try {
-      raw = std::stoull(s, &pos);
-    } catch (...) {
-      return false;
-    }
-    if (pos != s.size() || raw == 0) return false;
-    *v = static_cast<std::size_t>(raw);
-    return true;
-  };
-
-  const auto range_sep = text.find("..");
-  if (range_sep != std::string::npos) {
-    std::size_t lo = 0, hi = 0;
-    if (!parse_count(text.substr(0, range_sep), &lo) ||
-        !parse_count(text.substr(range_sep + 2), &hi) || lo > hi) {
-      return false;
-    }
-    // 1-3-10 ladder: 100000..1000000 -> 100000, 300000, 1000000.
-    std::size_t v = lo;
-    bool times_three = true;
-    while (v < hi) {
-      out->push_back(v);
-      v = times_three ? v * 3 : (v / 3) * 10;
-      times_three = !times_three;
-    }
-    out->push_back(hi);
-    return true;
-  }
-
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, ',')) {
-    std::size_t v = 0;
-    if (!parse_count(token, &v)) return false;
-    if (!out->empty() && v <= out->back()) return false;  // ascending
-    out->push_back(v);
-  }
-  return !out->empty();
-}
-
-}  // namespace
-
 BenchArgs BenchArgs::parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -203,20 +152,8 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
       args.smoke = true;
     } else if (arg == "--json" && i + 1 < argc) {
       args.json = argv[++i];
-    } else if (arg == "--subs" && i + 1 < argc &&
-               parse_subs_ladder(argv[i + 1], &args.subs)) {
-      ++i;
-    } else if (arg == "--connections" && i + 1 < argc &&
-               parse_subs_ladder(argv[i + 1], &args.connections)) {
-      ++i;
-    } else if (arg == "--io-threads" && i + 1 < argc &&
-               parse_subs_ladder(argv[i + 1], &args.io_threads)) {
-      ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json FILE] [--subs N,M,...|N..M] "
-                   "[--connections N,M,...|N..M] [--io-threads N,M,...|N..M]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--json FILE]\n", argv[0]);
       std::exit(2);
     }
   }
@@ -231,11 +168,18 @@ bool write_json_tables(
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
+  // RVAAS_COMPILER, RVAAS_BUILD_TYPE and RVAAS_GIT_SHA are defined for
+  // this file by CMakeLists.txt at configure time.
+  Table host({"nproc", "compiler", "build-type", "git-sha"});
+  host.add_row({std::to_string(std::thread::hardware_concurrency()),
+                RVAAS_COMPILER, RVAAS_BUILD_TYPE, RVAAS_GIT_SHA});
+  std::vector<std::pair<std::string, const Table*>> all{{"host", &host}};
+  all.insert(all.end(), sections.begin(), sections.end());
   std::fputs("{\n", f);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    std::fprintf(f, "\"%s\": %s%s\n", sections[i].first.c_str(),
-                 sections[i].second->to_json().c_str(),
-                 i + 1 < sections.size() ? "," : "");
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    std::fprintf(f, "\"%s\": %s%s\n", all[i].first.c_str(),
+                 all[i].second->to_json().c_str(),
+                 i + 1 < all.size() ? "," : "");
   }
   std::fputs("}\n", f);
   // A short write (e.g. disk full) must not masquerade as success — the

@@ -22,7 +22,8 @@ class Samples {
   double mean() const;
   double stddev() const;
   double sum() const { return sum_; }
-  /// p in [0, 100]; nearest-rank on the sorted samples.
+  /// p in [0, 100]; linear interpolation between the two nearest ranks of
+  /// the sorted samples.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 
@@ -37,7 +38,7 @@ class Samples {
   double sum_ = 0;
 };
 
-/// Aligned plain-text table used by benches to print EXPERIMENTS.md rows.
+/// Aligned plain-text table the benches print their results as.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -59,29 +60,19 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Shared CLI of the self-contained bench mains.
+/// Shared CLI of the bench mains.
 struct BenchArgs {
-  bool smoke = false;  ///< tiny topology, one iteration (the CI mode)
+  bool smoke = false;  ///< small sizes, few iterations (the CI mode)
   std::string json;    ///< --json FILE target; empty = no JSON output
-  /// --subs ladder for scaling modes (bench_monitor): subscription counts
-  /// to run, ascending. Empty = the bench's built-in default ladder.
-  std::vector<std::size_t> subs;
-  /// --connections ladder (bench_wire): concurrent wire connections per
-  /// run, ascending. Empty = the bench's built-in default ladder.
-  std::vector<std::size_t> connections;
-  /// --io-threads ladder (bench_wire): front-end I/O thread counts to run,
-  /// ascending. Empty = the bench's built-in default ladder.
-  std::vector<std::size_t> io_threads;
 
-  /// Parses [--smoke] [--json FILE] [--subs N,M,... | N..M]
-  /// [--connections N,M,...|N..M] [--io-threads N,M,...|N..M]; exits with
-  /// usage on anything else. `N..M` expands to {N, ~3N, ~10N, ...} up to M
-  /// inclusive — a log-spaced ladder like the default 100000..1000000.
+  /// Parses [--smoke] [--json FILE]; exits with usage on anything else.
   static BenchArgs parse(int argc, char** argv);
 };
 
-/// Writes the sections as one JSON object, `{"name": <table-json>, ...}`.
-/// Returns false (with a message on stderr) on I/O failure.
+/// Writes the sections as one JSON object, `{"name": <table-json>, ...}`,
+/// led by a `host` section (nproc, compiler, build type and the git
+/// revision the build was configured from) so every file says what
+/// produced it. Returns false (with a message on stderr) on I/O failure.
 bool write_json_tables(
     const std::string& path,
     const std::vector<std::pair<std::string, const Table*>>& sections);

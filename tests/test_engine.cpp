@@ -1,9 +1,10 @@
-// QueryEngine: reach computations, confidentiality redaction, geo providers,
-// path length, fairness metrics, transfer summary.
+// QueryEngine: reach computations, per-client evaluation, confidentiality
+// redaction, geo providers, path length, fairness metrics, transfer summary.
 
 #include <gtest/gtest.h>
 
 #include "rvaas/engine.hpp"
+#include "workload/scenario.hpp"
 
 namespace rvaas::core {
 namespace {
@@ -229,6 +230,30 @@ TEST(Engine, ConstraintSpaceRestrictsQueries) {
   const auto reach =
       engine.reachable_endpoints(model, f.snap, {SwitchId(1), PortNo(1)}, hs);
   EXPECT_TRUE(reach.endpoints.empty());
+}
+
+TEST(Engine, DifferentClientsGetDifferentAnswers) {
+  workload::ScenarioConfig config;
+  config.generated = workload::linear(4);
+  config.tenant_count = 2;
+  config.seed = 7;
+  workload::ScenarioRuntime runtime(std::move(config));
+  const sdn::Topology& topo = runtime.network().topology();
+  const QueryEngine engine(topo, EngineConfig{});
+  const auto ask = [&](HostId client) {
+    QueryEngine::EvalContext ctx;
+    ctx.from = topo.host_ports(client).front();
+    Property property;
+    property.kind = QueryKind::ReachableEndpoints;
+    return engine.evaluate(runtime.rvaas().snapshot(), property, ctx).reply;
+  };
+
+  // Tenants are assigned round-robin, so host 0 and host 1 live in different
+  // tenants and must see different endpoint sets.
+  const QueryReply r0 = ask(runtime.hosts()[0]);
+  const QueryReply r1 = ask(runtime.hosts()[1]);
+  EXPECT_FALSE(r0.endpoints.empty());
+  EXPECT_NE(r0.signing_payload(), r1.signing_payload());
 }
 
 TEST(Engine, RenderPathsDeduplicates) {

@@ -163,12 +163,12 @@ TEST(CompiledModelCache, IncrementalIsByteIdenticalToColdAcrossChurn) {
 
     // Observable pin: replies computed on both models serialize to the
     // same bytes.
-    QueryEngine::BatchContext ctx;
+    QueryEngine::EvalContext ctx;
     ctx.from = access_points[rng.below(access_points.size())];
-    Query query;
-    query.kind = QueryKind::ReachableEndpoints;
-    const auto inc_reply = engine.answer(incremental, f.snap, query, ctx);
-    const auto cold_reply = engine.answer(cold, f.snap, query, ctx);
+    Property property;
+    property.kind = QueryKind::ReachableEndpoints;
+    const auto inc_reply = engine.evaluate(incremental, f.snap, property, ctx);
+    const auto cold_reply = engine.evaluate(cold, f.snap, property, ctx);
     ASSERT_EQ(reply_bytes(inc_reply.reply), reply_bytes(cold_reply.reply))
         << "round " << round;
     ASSERT_EQ(inc_reply.to_authenticate, cold_reply.to_authenticate)

@@ -261,19 +261,19 @@ TEST(ReachCache, CachedAnswersStayByteIdenticalAcrossChurn) {
       }
     }
 
-    QueryEngine::BatchContext ctx;
+    QueryEngine::EvalContext ctx;
     ctx.from = access_points[rng.below(access_points.size())];
-    Query query;
-    query.kind = rng.below(2) == 0 ? QueryKind::ReachableEndpoints
-                                   : QueryKind::Isolation;
+    Property property;
+    property.kind = rng.below(2) == 0 ? QueryKind::ReachableEndpoints
+                                      : QueryKind::Isolation;
 
     // Warm path: incremental model + reach cache. Cold path: a FRESH engine
     // (empty caches) on a full recompilation — every traversal recomputed.
     const hsa::NetworkModel model = engine.model(f.snap);
-    const auto warm = engine.answer(model, f.snap, query, ctx);
+    const auto warm = engine.evaluate(model, f.snap, property, ctx);
     QueryEngine cold_engine(f.topo(), EngineConfig{});
     const hsa::NetworkModel cold_model = cold_engine.model_uncached(f.snap);
-    const auto cold = cold_engine.answer(cold_model, f.snap, query, ctx);
+    const auto cold = cold_engine.evaluate(cold_model, f.snap, property, ctx);
 
     ASSERT_EQ(reply_bytes(warm.reply), reply_bytes(cold.reply))
         << "round " << round;
@@ -281,7 +281,7 @@ TEST(ReachCache, CachedAnswersStayByteIdenticalAcrossChurn) {
 
     // Asking again without churn must serve pure hits and the same bytes.
     const auto misses_before = engine.reach_stats().misses;
-    const auto repeat = engine.answer(model, f.snap, query, ctx);
+    const auto repeat = engine.evaluate(model, f.snap, property, ctx);
     ASSERT_EQ(reply_bytes(repeat.reply), reply_bytes(warm.reply));
     ASSERT_EQ(engine.reach_stats().misses, misses_before);
   }
@@ -332,11 +332,11 @@ TEST(ReachCache, ReachAllWarmsTheQueryPaths) {
 
   // A ReachingSources query traverses from EVERY access point — after the
   // sweep, all of them are warm.
-  QueryEngine::BatchContext ctx;
+  QueryEngine::EvalContext ctx;
   ctx.from = access_points.front();
-  Query query;
-  query.kind = QueryKind::ReachingSources;
-  (void)engine.answer(engine.model(f.snap), f.snap, query, ctx);
+  Property property;
+  property.kind = QueryKind::ReachingSources;
+  (void)engine.evaluate(engine.model(f.snap), f.snap, property, ctx);
   EXPECT_EQ(engine.reach_stats().misses, misses_after_sweep);
 }
 

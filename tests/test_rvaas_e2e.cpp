@@ -312,17 +312,33 @@ TEST(E2E, FairnessQuerySeesTenantMeter) {
 }
 
 TEST(E2E, FullPathsPolicyLeaksAndEndpointsOnlyDoesNot) {
-  // E5 ablation at test scale.
-  ScenarioConfig leaky = line_config(3);
-  leaky.rvaas.policy = core::ConfidentialityPolicy::FullPaths;
-  ScenarioRuntime runtime(std::move(leaky));
-  const auto& hosts = runtime.hosts();
+  // E5 ablation at test scale: the strawman discloses the path behind an
+  // endpoint answer; under the default policy no query kind's reply
+  // discloses any path.
+  for (const auto policy : {core::ConfidentialityPolicy::FullPaths,
+                            core::ConfidentialityPolicy::EndpointsOnly}) {
+    ScenarioConfig config = line_config(3);
+    config.rvaas.policy = policy;
+    ScenarioRuntime runtime(std::move(config));
+    const auto& hosts = runtime.hosts();
 
-  Query query;
-  query.kind = QueryKind::ReachableEndpoints;
-  const auto outcome = runtime.query_and_wait(hosts[0], query);
-  ASSERT_TRUE(outcome.reply.has_value());
-  EXPECT_FALSE(outcome.reply->disclosed_paths.empty());
+    for (const QueryKind kind :
+         {QueryKind::ReachableEndpoints, QueryKind::ReachingSources,
+          QueryKind::Isolation, QueryKind::Geo, QueryKind::PathLength,
+          QueryKind::Fairness, QueryKind::TransferSummary}) {
+      Query query;
+      query.kind = kind;
+      if (kind == QueryKind::PathLength) query.peer = hosts[2];
+      const auto outcome = runtime.query_and_wait(hosts[0], query);
+      ASSERT_TRUE(outcome.reply.has_value()) << core::to_string(kind);
+      if (policy == core::ConfidentialityPolicy::EndpointsOnly) {
+        EXPECT_TRUE(outcome.reply->disclosed_paths.empty())
+            << core::to_string(kind);
+      } else if (kind == QueryKind::ReachableEndpoints) {
+        EXPECT_FALSE(outcome.reply->disclosed_paths.empty());
+      }
+    }
+  }
 }
 
 TEST(E2E, LinkProberStaysQuietOnIntactWiring) {

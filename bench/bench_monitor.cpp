@@ -257,7 +257,6 @@ ScalingRung run_scaling_rung(Setup& setup, core::QueryEngine& engine,
   core::QueryEngine::EvalContext ctx;
   ctx.geo = &geo;
   ctx.addressing = &runtime.addressing();
-  util::ThreadPool pool(0);
 
   const auto& hosts = runtime.hosts();
   const sdn::HostId sentinel_client = hosts.back();
@@ -308,7 +307,7 @@ ScalingRung run_scaling_rung(Setup& setup, core::QueryEngine& engine,
   // linear scan over the full registry — kept as the baseline contrast —
   // and it runs the sentinels' baseline evaluations.
   const auto w0 = std::chrono::steady_clock::now();
-  const auto baseline = monitor.sweep(snap, ctx, pool);
+  const auto baseline = monitor.sweep(snap, ctx);
   rung.warmup_linear_ms = elapsed_ms(w0, std::chrono::steady_clock::now());
   if (baseline.size() != sentinels) rung.wakeups_exact = false;
 
@@ -349,7 +348,7 @@ ScalingRung run_scaling_rung(Setup& setup, core::QueryEngine& engine,
     if (indexed != linear) rung.wakeups_exact = false;
 
     const auto s0 = std::chrono::steady_clock::now();
-    const auto wakeups = monitor.sweep(snap, ctx, pool);
+    const auto wakeups = monitor.sweep(snap, ctx);
     const auto s1 = std::chrono::steady_clock::now();
     rung.alert_ms.add(elapsed_ms(t0, t1) + elapsed_ms(s0, s1));
     if (wakeups.size() != sentinels) rung.wakeups_exact = false;

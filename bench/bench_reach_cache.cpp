@@ -14,8 +14,7 @@
 // The paper's control loop re-verifies after every monitored change
 // (§IV.A); single-switch churn is the steady state there, and the cached
 // path must win big on it (targets: >=5x L1 model compilation and >=5x
-// end-to-end on the 50-switch topology). Also reports the parallel
-// all-pairs sweep (QueryEngine::reach_all) cold/warm.
+// end-to-end on the 50-switch topology).
 //
 // Flags: --smoke (tiny topology, 1 iteration)   --json FILE (machine output)
 
@@ -224,26 +223,6 @@ int main(int argc, char** argv) {
   std::puts("\nreach cache (L2) counters over the whole run:");
   l2.print();
 
-  // Parallel all-pairs sweep (full header space from every access point),
-  // on a fresh engine per thread count so each cold sweep really is cold.
-  std::puts("\nall-pairs sweep (reach_all, full space from every access "
-            "point): cold = empty cache, warm = repeat;");
-  std::puts("speedup over threads needs real cores — flat on a 1-CPU host.");
-  util::Table sweep({"threads", "cold-sweep-ms", "warm-sweep-ms"});
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{8}}) {
-    core::QueryEngine fresh(topo, core::EngineConfig{});
-    const auto t0 = Clock::now();
-    (void)fresh.reach_all(snap, hsa::HeaderSpace::all(), threads);
-    const double cold_ms = ms_since(t0);
-    const auto t1 = Clock::now();
-    (void)fresh.reach_all(snap, hsa::HeaderSpace::all(), threads);
-    const double warm_ms = ms_since(t1);
-    sweep.add_row({std::to_string(threads), util::Table::fmt(cold_ms, 3),
-                   util::Table::fmt(warm_ms, 3)});
-  }
-  sweep.print();
-
   std::printf("\nsingle-switch churn: incremental model compilation (L1) is "
               "%.1fx faster than full recompilation, and cached "
               "reverification of the flow set (L1+L2) is %.1fx faster "
@@ -253,8 +232,7 @@ int main(int argc, char** argv) {
   if (!args.json.empty()) {
     if (!util::write_json_tables(args.json, {{"churn", &table},
                                              {"l1", &l1},
-                                             {"l2", &l2},
-                                             {"reach_all", &sweep}})) {
+                                             {"l2", &l2}})) {
       return 1;
     }
     std::printf("JSON written to %s\n", args.json.c_str());

@@ -173,40 +173,4 @@ ReachabilityResult NetworkModel::reach_from_host(sdn::HostId host) const {
   return reach(ports.front(), HeaderSpace::all());
 }
 
-std::vector<ReachabilityResult> NetworkModel::reach_all(
-    std::span<const PortRef> ingresses, const HeaderSpace& hs,
-    util::ThreadPool& pool, std::size_t max_depth) const {
-  std::vector<ReachabilityResult> out(ingresses.size());
-  pool.parallel_for(ingresses.size(), [&](std::size_t i) {
-    out[i] = reach(ingresses[i], hs, max_depth);
-  });
-  return out;
-}
-
-std::vector<PortRef> NetworkModel::sources_reaching(
-    PortRef target, const HeaderSpace& hs) const {
-  util::ThreadPool inline_pool(0);
-  return sources_reaching(target, hs, inline_pool);
-}
-
-std::vector<PortRef> NetworkModel::sources_reaching(
-    PortRef target, const HeaderSpace& hs, util::ThreadPool& pool) const {
-  std::vector<PortRef> candidates;
-  for (const PortRef ap : topo_->all_access_points()) {
-    if (ap == target) continue;
-    candidates.push_back(ap);
-  }
-  const std::vector<ReachabilityResult> results =
-      reach_all(candidates, hs, pool);
-
-  std::vector<PortRef> sources;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto ports = results[i].reached_ports();
-    if (std::binary_search(ports.begin(), ports.end(), target)) {
-      sources.push_back(candidates[i]);
-    }
-  }
-  return sources;
-}
-
 }  // namespace rvaas::hsa

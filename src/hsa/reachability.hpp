@@ -12,7 +12,6 @@
 
 #include "hsa/transfer.hpp"
 #include "sdn/topology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rvaas::hsa {
 
@@ -104,23 +103,6 @@ class NetworkModel {
 
   /// Convenience: reach from a host's first access point with full space.
   ReachabilityResult reach_from_host(sdn::HostId host) const;
-
-  /// All-pairs building block: one independent reach() per ingress, fanned
-  /// out over `pool` (the model is immutable, so runs share it freely).
-  /// Results are positionally identical to sequential reach() calls.
-  std::vector<ReachabilityResult> reach_all(
-      std::span<const sdn::PortRef> ingresses, const HeaderSpace& hs,
-      util::ThreadPool& pool, std::size_t max_depth = 64) const;
-
-  /// Inverse reachability: which access points can send traffic (within
-  /// `hs`) that arrives at `target`? Computed by forward reach from every
-  /// access point (sound; cost = |access points| reach runs, fanned out
-  /// over `pool` in the overload).
-  std::vector<sdn::PortRef> sources_reaching(sdn::PortRef target,
-                                             const HeaderSpace& hs) const;
-  std::vector<sdn::PortRef> sources_reaching(sdn::PortRef target,
-                                             const HeaderSpace& hs,
-                                             util::ThreadPool& pool) const;
 
   const sdn::Topology& topology() const { return *topo_; }
   const NetworkTransfer& transfer() const { return *transfer_; }

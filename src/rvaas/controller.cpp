@@ -16,6 +16,23 @@ using sdn::SwitchId;
 namespace {
 constexpr std::uint64_t kInterceptCookie = 0x52566161;  // "RVaa"
 
+/// How long a stats poll may stay unanswered before it counts as a miss.
+/// The fault-free round-trip is 2 control latencies (~400us default), so
+/// this leaves ample margin without slowing fault detection.
+constexpr sim::Time kPollDeadline = 2 * sim::kMillisecond;
+/// Consecutive missed poll deadlines before Healthy -> Degraded.
+constexpr std::uint32_t kDegradedAfter = 1;
+/// Consecutive missed poll deadlines before -> Unreachable. The circuit
+/// opens: regular polls skip the switch, a capped-cadence probe keeps
+/// testing for recovery.
+constexpr std::uint32_t kUnreachableAfter = 3;
+/// Additive jitter on retry delays, up to this percentage of the delay
+/// (drawn from the controller's seeded rng: deterministic, but
+/// decorrelates retry bursts across switches).
+constexpr std::uint32_t kRetryJitterPct = 25;
+/// Change-clock history the snapshot keeps (SnapshotManager).
+constexpr std::size_t kSnapshotHistory = 1 << 16;
+
 // TEST-ONLY fault switch (see test_fault_freeze_health).
 std::atomic<bool> g_health_frozen{false};
 
@@ -50,9 +67,8 @@ RvaasController::RvaasController(sdn::ControllerId id, sdn::Network& net,
       channel_key_(crypto::SigningKey::generate(rng_)),
       engine_(net.topology(),
               EngineConfig{config_.policy, config_.max_reach_depth}),
-      snapshot_(config_.history_limit),
-      monitor_(engine_),
-      monitor_pool_(config_.monitor_threads) {}
+      snapshot_(kSnapshotHistory),
+      monitor_(engine_) {}
 
 RvaasController::~RvaasController() { stop(); }
 
@@ -169,7 +185,7 @@ void RvaasController::poll_switch(SwitchId sw, bool is_retry) {
         on_stats_reply(sw, seq, gen, sent, reply);
       });
   channel.deadline = net_->loop().schedule_after(
-      config_.poll_deadline, [this, sw, seq] { on_poll_deadline(sw, seq); });
+      kPollDeadline, [this, sw, seq] { on_poll_deadline(sw, seq); });
 }
 
 void RvaasController::on_stats_reply(SwitchId sw, std::uint64_t seq,
@@ -220,13 +236,13 @@ void RvaasController::on_poll_deadline(SwitchId sw, std::uint64_t seq) {
   ++stats_.poll_deadline_misses;
   if (!health_frozen()) {
     ++channel.consecutive_misses;
-    if (channel.consecutive_misses >= config_.unreachable_after) {
+    if (channel.consecutive_misses >= kUnreachableAfter) {
       if (channel.health != SwitchHealth::Unreachable) {
         channel.health = SwitchHealth::Unreachable;
         ++stats_.unreachable_transitions;
         on_unreachable();
       }
-    } else if (channel.consecutive_misses >= config_.degraded_after &&
+    } else if (channel.consecutive_misses >= kDegradedAfter &&
                channel.health == SwitchHealth::Healthy) {
       channel.health = SwitchHealth::Degraded;
       ++stats_.degraded_transitions;
@@ -246,12 +262,10 @@ void RvaasController::schedule_retry(SwitchId sw) {
     delay = backoff_base_delay(channel.attempt, config_);
     ++channel.attempt;
   }
-  if (config_.retry_jitter_pct > 0) {
-    // Additive jitter decorrelates retry bursts across switches after a
-    // shared partition; drawn from the seeded rng, so still deterministic.
-    const sim::Time span = delay * config_.retry_jitter_pct / 100;
-    if (span > 0) delay += rng_.below(span + 1);
-  }
+  // Additive jitter decorrelates retry bursts across switches after a
+  // shared partition; drawn from the seeded rng, so still deterministic.
+  const sim::Time span = delay * kRetryJitterPct / 100;
+  if (span > 0) delay += rng_.below(span + 1);
   channel.retry_pending = true;
   channel.retry =
       net_->loop().schedule_after(std::max<sim::Time>(delay, 1), [this, sw] {
@@ -496,14 +510,7 @@ void RvaasController::admit_subscribe(const SubscribeRequest& request,
       ++stats_.bad_requests;
       return;
     }
-    // Drop an evaluation still waiting on authentication, if any.
-    if (const auto it = inflight_.find(key); it != inflight_.end()) {
-      if (const auto pit = pending_.find(it->second); pit != pending_.end()) {
-        net_->loop().cancel(pit->second.timeout);
-        pending_.erase(pit);
-      }
-      inflight_.erase(it);
-    }
+    cancel_inflight(key);
     return;
   }
 
@@ -775,17 +782,11 @@ void RvaasController::run_monitor_sweep(bool force_all) {
   ctx.geo = geo_.get();
   ctx.addressing = addressing_;
   std::vector<PropertyMonitor::Wakeup> wakeups =
-      monitor_.sweep(snapshot_, ctx, monitor_pool_, force_all);
+      monitor_.sweep(snapshot_, ctx, force_all);
 
   for (PropertyMonitor::Wakeup& w : wakeups) {
     // A newer evaluation supersedes one still waiting on authentication.
-    if (const auto it = inflight_.find(w.key); it != inflight_.end()) {
-      if (const auto pit = pending_.find(it->second); pit != pending_.end()) {
-        net_->loop().cancel(pit->second.timeout);
-        pending_.erase(pit);
-      }
-      inflight_.erase(it);
-    }
+    cancel_inflight(w.key);
 
     PendingQuery pending;
     pending.request.client = w.key.first;
@@ -804,19 +805,22 @@ void RvaasController::run_monitor_sweep(bool force_all) {
   }
 }
 
+void RvaasController::cancel_inflight(const PropertyMonitor::Key& key) {
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end()) return;
+  if (const auto pit = pending_.find(it->second); pit != pending_.end()) {
+    net_->loop().cancel(pit->second.timeout);
+    pending_.erase(pit);
+  }
+  inflight_.erase(it);
+}
+
 std::size_t RvaasController::evict_client(sdn::HostId client) {
   std::size_t dropped = 0;
   for (const std::uint64_t sub_id : monitor_.ids_of(client)) {
     if (!monitor_.unsubscribe(client, sub_id)) continue;
     ++dropped;
-    const PropertyMonitor::Key key{client, sub_id};
-    if (const auto it = inflight_.find(key); it != inflight_.end()) {
-      if (const auto pit = pending_.find(it->second); pit != pending_.end()) {
-        net_->loop().cancel(pit->second.timeout);
-        pending_.erase(pit);
-      }
-      inflight_.erase(it);
-    }
+    cancel_inflight({client, sub_id});
   }
   // One-shot queries still waiting on authentication: the reply would go to
   // a socket that no longer exists, so drop them rather than finalize into

@@ -29,16 +29,12 @@ struct RvaasConfig {
   /// How long to wait for authentication replies before answering.
   sim::Time auth_timeout = 5 * sim::kMillisecond;
   ConfidentialityPolicy policy = ConfidentialityPolicy::EndpointsOnly;
-  std::size_t history_limit = 1 << 16;
   std::size_t max_reach_depth = 64;
   bool enable_link_prober = false;
   sim::Time probe_period = 100 * sim::kMillisecond;
   std::string enclave_name = "rvaas";
   std::string enclave_version = "1.0";
 
-  /// Extra worker threads for the monitor's re-evaluation sweeps (0 = the
-  /// sweep runs inline on the event-loop thread).
-  std::size_t monitor_threads = 0;
   /// Timer-driven full re-verification of every subscription, catching
   /// drift outside the snapshot's change clock (meter updates, auth
   /// responders dying). 0 = disabled; churn-triggered sweeps always run.
@@ -47,24 +43,10 @@ struct RvaasConfig {
   std::size_t max_subscriptions_per_client = 64;
 
   // --- control-channel resilience (fault tolerance, fail-stale) ---
-  /// How long a stats poll may stay unanswered before it counts as a miss.
-  /// The fault-free round-trip is 2 control latencies (~400us default), so
-  /// the default leaves ample margin without slowing fault detection.
-  sim::Time poll_deadline = 2 * sim::kMillisecond;
-  /// Consecutive missed poll deadlines before Healthy -> Degraded.
-  std::uint32_t degraded_after = 1;
-  /// Consecutive missed poll deadlines before -> Unreachable. The circuit
-  /// opens: regular polls skip the switch, a capped-cadence probe keeps
-  /// testing for recovery.
-  std::uint32_t unreachable_after = 3;
   /// Retry backoff after a miss: base * 2^attempt, capped. The cap doubles
   /// as the circuit-breaker probe cadence while a switch is Unreachable.
   sim::Time retry_backoff_base = 1 * sim::kMillisecond;
   sim::Time retry_backoff_cap = 8 * sim::kMillisecond;
-  /// Additive jitter on retry delays, up to this percentage of the delay
-  /// (drawn from the controller's seeded rng: deterministic, but
-  /// decorrelates retry bursts across switches).
-  std::uint32_t retry_jitter_pct = 25;
 };
 
 class RvaasController : public sdn::Controller {
@@ -123,10 +105,10 @@ class RvaasController : public sdn::Controller {
   // --- control-channel health (fail-stale degraded operation) ---
 
   /// Per-switch control-channel health as the poll deadline machine sees
-  /// it. Healthy until a deadline miss; Degraded after `degraded_after`
-  /// consecutive misses; Unreachable after `unreachable_after` (circuit
-  /// open: regular polls skip the switch, a capped-cadence probe keeps
-  /// testing). Any successful reply snaps straight back to Healthy.
+  /// it. Healthy until a deadline miss; Degraded after the first miss;
+  /// Unreachable after three consecutive misses (circuit open: regular
+  /// polls skip the switch, a capped-cadence probe keeps testing). Any
+  /// successful reply snaps straight back to Healthy.
   enum class SwitchHealth : std::uint8_t { Healthy, Degraded, Unreachable };
   SwitchHealth switch_health(sdn::SwitchId sw) const;
   /// Switches currently Unreachable, sorted ascending.
@@ -333,6 +315,9 @@ class RvaasController : public sdn::Controller {
   /// Churn hook: coalesces same-instant epoch advances into one sweep event.
   void schedule_monitor_sweep();
   void run_monitor_sweep(bool force_all);
+  /// Drops the evaluation of `key` still waiting on authentication, if
+  /// any: its timeout is cancelled and it never commits or pushes.
+  void cancel_inflight(const PropertyMonitor::Key& key);
 
   sdn::ControllerId id_;
   sdn::Network* net_;
@@ -369,10 +354,8 @@ class RvaasController : public sdn::Controller {
   sim::EventId reverify_timer_{};
   sim::EventId sweep_event_{};
 
-  // Push verification. The monitor holds the subscription registry; the
-  // pool fans its re-evaluation sweeps out (0 extra threads by default).
+  // Push verification. The monitor holds the subscription registry.
   PropertyMonitor monitor_;
-  util::ThreadPool monitor_pool_;
   bool sweep_scheduled_ = false;
   std::uint64_t last_swept_epoch_ = 0;
   /// Internal request-id space for subscription evaluations; disjoint from

@@ -8,7 +8,6 @@
 #include "hsa/transfer.hpp"
 #include "util/ensure.hpp"
 #include "util/fnv.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rvaas::core {
 
@@ -20,31 +19,11 @@ namespace {
 std::atomic<bool> g_l1_invalidation_frozen{false};
 std::atomic<bool> g_l2_invalidation_frozen{false};
 
-/// Compiles `work` switches into `into`. With a pool, compilations group by
-/// switch partition (shard.hpp) and fan out — pure per-switch work, results
-/// merged serially afterwards so the map mutation stays single-threaded.
 void compile_switches(const SnapshotManager& snap,
                       const std::vector<SwitchId>& work,
-                      hsa::NetworkTransfer& into, util::ThreadPool* pool) {
-  if (pool == nullptr || work.size() < 2) {
-    for (const SwitchId sw : work) {
-      into[sw] = hsa::SwitchTransfer::compile(snap.table(sw));
-    }
-    return;
-  }
-  std::array<std::vector<SwitchId>, kSwitchShards> by_shard;
-  for (const SwitchId sw : work) by_shard[switch_shard(sw)].push_back(sw);
-  std::array<std::vector<std::pair<SwitchId, hsa::SwitchTransfer>>,
-             kSwitchShards>
-      compiled;
-  pool->parallel_for(kSwitchShards, [&](std::size_t s) {
-    compiled[s].reserve(by_shard[s].size());
-    for (const SwitchId sw : by_shard[s]) {
-      compiled[s].emplace_back(sw, hsa::SwitchTransfer::compile(snap.table(sw)));
-    }
-  });
-  for (auto& group : compiled) {
-    for (auto& [sw, transfer] : group) into[sw] = std::move(transfer);
+                      hsa::NetworkTransfer& into) {
+  for (const SwitchId sw : work) {
+    into[sw] = hsa::SwitchTransfer::compile(snap.table(sw));
   }
 }
 }  // namespace
@@ -58,8 +37,7 @@ void ReachCache::test_fault_freeze_invalidation(bool on) {
 }
 
 hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
-                                            const SnapshotManager& snap,
-                                            util::ThreadPool* pool) {
+                                            const SnapshotManager& snap) {
   std::lock_guard lock(mu_);
   ++stats_.lookups;
 
@@ -77,7 +55,7 @@ hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
       snap.epoch() < snapshot_epoch_) {
     transfer_ = std::make_shared<hsa::NetworkTransfer>();
     const std::vector<SwitchId> all = snap.switch_ids();
-    compile_switches(snap, all, *transfer_, pool);
+    compile_switches(snap, all, *transfer_);
     stats_.switch_recompiles += all.size();
     ++stats_.full_rebuilds;
     snapshot_id_ = snap.instance_id();
@@ -98,7 +76,7 @@ hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
     if (transfer_.use_count() > 1) {
       transfer_ = std::make_shared<hsa::NetworkTransfer>(*transfer_);
     }
-    compile_switches(snap, dirty, *transfer_, pool);
+    compile_switches(snap, dirty, *transfer_);
     stats_.switch_recompiles += dirty.size();
   }
   stats_.switch_hits += transfer_->size() - dirty.size();
@@ -214,8 +192,8 @@ ReachCache::ResultPtr ReachCache::reach(const hsa::NetworkModel& model,
   }
   ++stats_.misses;
 
-  // Compute outside the lock so concurrent misses (reach_all, the monitor
-  // sweep) traverse in parallel; the model is immutable.
+  // Compute outside the lock so a traversal never blocks another thread's
+  // lookups; the model is immutable.
   lock.unlock();
   auto result =
       std::make_shared<const hsa::ReachabilityResult>(
@@ -265,9 +243,8 @@ ReachCache::Stats ReachCache::stats() const {
   return stats_;
 }
 
-hsa::NetworkModel QueryEngine::model(const SnapshotManager& snap,
-                                     util::ThreadPool* pool) const {
-  return cache_->model(*topo_, snap, pool);
+hsa::NetworkModel QueryEngine::model(const SnapshotManager& snap) const {
+  return cache_->model(*topo_, snap);
 }
 
 hsa::NetworkModel QueryEngine::model_uncached(
@@ -291,28 +268,6 @@ ReachCache::ResultPtr QueryEngine::reach_tracked(
     fp->insert(fp->end(), r->footprint.begin(), r->footprint.end());
   }
   return r;
-}
-
-std::vector<QueryEngine::IngressReach> QueryEngine::reach_all(
-    const SnapshotManager& snap, const hsa::HeaderSpace& hs,
-    util::ThreadPool& pool) const {
-  // One L1 compilation serves the whole sweep; per-ingress traversals then
-  // fan out, each landing in (or served from) the L2 cache.
-  const hsa::NetworkModel compiled = model(snap);
-  const std::vector<PortRef> ingresses = topo_->all_access_points();
-  std::vector<IngressReach> out(ingresses.size());
-  pool.parallel_for(ingresses.size(), [&](std::size_t i) {
-    out[i] = IngressReach{ingresses[i],
-                          reach(compiled, snap, ingresses[i], hs)};
-  });
-  return out;
-}
-
-std::vector<QueryEngine::IngressReach> QueryEngine::reach_all(
-    const SnapshotManager& snap, const hsa::HeaderSpace& hs,
-    std::size_t threads) const {
-  util::ThreadPool pool(threads <= 1 ? 0 : threads - 1);
-  return reach_all(snap, hs, pool);
 }
 
 hsa::HeaderSpace QueryEngine::constraint_space(const sdn::Match& constraint) {

@@ -15,7 +15,6 @@
 #include "rvaas/query.hpp"
 #include "rvaas/shard.hpp"
 #include "rvaas/snapshot.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rvaas::core {
 
@@ -52,11 +51,8 @@ class CompiledModelCache {
 
   /// A model of the snapshot's current state, recompiling only dirty
   /// switches. Results are always identical to a cold full compilation.
-  /// With a pool, recompilations group by switch partition (shard.hpp) and
-  /// fan out — refresh cost tracks the dirty partition, in parallel.
   hsa::NetworkModel model(const sdn::Topology& topo,
-                          const SnapshotManager& snap,
-                          util::ThreadPool* pool = nullptr);
+                          const SnapshotManager& snap);
 
   /// Drops all compiled state (the next lookup is a full rebuild).
   void invalidate();
@@ -89,7 +85,7 @@ class CompiledModelCache {
 /// (shard.hpp) with per-shard coverage masks, so the eviction walk visits
 /// only shards the churn can touch — eviction cost tracks the dirty
 /// partition, not total cache size. Thread-safe; misses compute outside the
-/// lock, so concurrent lookups (reach_all, the monitor sweep) parallelize.
+/// lock, so a traversal never blocks another thread's lookups.
 class ReachCache {
  public:
   using ResultPtr = std::shared_ptr<const hsa::ReachabilityResult>;
@@ -209,11 +205,8 @@ class QueryEngine {
   /// engine's CompiledModelCache: only switches whose table epoch advanced
   /// since the last call are recompiled. Single-query, monitor and polling
   /// paths all funnel through here, so they share one cache. Results are
-  /// identical to model_uncached(). With a pool (the monitor sweep passes
-  /// its own), recompiles fan out grouped by switch partition; never pass a
-  /// pool from inside one of its own workers.
-  hsa::NetworkModel model(const SnapshotManager& snap,
-                          util::ThreadPool* pool = nullptr) const;
+  /// identical to model_uncached().
+  hsa::NetworkModel model(const SnapshotManager& snap) const;
 
   /// Cold path: full recompilation of every switch, bypassing the cache
   /// (the baseline for bench_reach_cache and the equivalence tests).
@@ -233,26 +226,6 @@ class QueryEngine {
                               const SnapshotManager& snap,
                               sdn::PortRef ingress,
                               const hsa::HeaderSpace& hs) const;
-
-  /// One ingress of an all-pairs sweep.
-  struct IngressReach {
-    sdn::PortRef ingress;
-    ReachCache::ResultPtr result;
-  };
-
-  /// All-pairs reachability: one reach per access point within `hs`, fanned
-  /// out over `pool` and served through / stored into the ReachCache, so a
-  /// sweep leaves every per-ingress result warm for the single-query,
-  /// monitor and federation paths. Results are positionally identical to
-  /// sequential engine.reach() calls per access point.
-  std::vector<IngressReach> reach_all(const SnapshotManager& snap,
-                                      const hsa::HeaderSpace& hs,
-                                      util::ThreadPool& pool) const;
-
-  /// As above with a per-call pool (<= 1 runs sequentially inline).
-  std::vector<IngressReach> reach_all(const SnapshotManager& snap,
-                                      const hsa::HeaderSpace& hs,
-                                      std::size_t threads) const;
 
   /// Converts a client constraint into a header space.
   static hsa::HeaderSpace constraint_space(const sdn::Match& constraint);

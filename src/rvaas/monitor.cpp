@@ -48,28 +48,23 @@ std::size_t PropertyMonitor::KeyHash::operator()(const Key& k) const noexcept {
 void PropertyMonitor::index_insert(const std::vector<SwitchId>& footprint,
                                    const Key& key) {
   if (index_frozen()) return;
-  for (const SwitchId sw : footprint) {
-    index_[switch_shard(sw)].by_switch[sw.value].insert(key);
-  }
+  for (const SwitchId sw : footprint) index_[sw.value].insert(key);
 }
 
 void PropertyMonitor::index_erase(const std::vector<SwitchId>& footprint,
                                   const Key& key) {
   if (index_frozen()) return;
   for (const SwitchId sw : footprint) {
-    IndexShard& shard = index_[switch_shard(sw)];
-    const auto it = shard.by_switch.find(sw.value);
-    if (it == shard.by_switch.end()) continue;
+    const auto it = index_.find(sw.value);
+    if (it == index_.end()) continue;
     it->second.erase(key);
-    if (it->second.empty()) shard.by_switch.erase(it);
+    if (it->second.empty()) index_.erase(it);
   }
 }
 
 std::size_t PropertyMonitor::index_entries() const {
   std::size_t n = 0;
-  for (const IndexShard& shard : index_) {
-    for (const auto& [sw, keys] : shard.by_switch) n += keys.size();
-  }
+  for (const auto& [sw, keys] : index_) n += keys.size();
   return n;
 }
 
@@ -194,9 +189,8 @@ std::vector<PropertyMonitor::Key> PropertyMonitor::select_wakeups(
   }
   std::vector<Key> out(unevaluated_.begin(), unevaluated_.end());
   for (const SwitchId sw : snap.dirty_since(swept_epoch_)) {
-    const IndexShard& shard = index_[switch_shard(sw)];
-    const auto it = shard.by_switch.find(sw.value);
-    if (it == shard.by_switch.end()) continue;
+    const auto it = index_.find(sw.value);
+    if (it == index_.end()) continue;
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
   std::sort(out.begin(), out.end());
@@ -212,7 +206,7 @@ std::vector<PropertyMonitor::Key> PropertyMonitor::indexed_wakeups(
 
 std::vector<PropertyMonitor::Wakeup> PropertyMonitor::sweep(
     const SnapshotManager& snap, const QueryEngine::EvalContext& base_ctx,
-    util::ThreadPool& pool, bool force_all) {
+    bool force_all) {
   ++stats_.sweeps;
   const std::uint64_t epoch = snap.epoch();
 
@@ -232,72 +226,45 @@ std::vector<PropertyMonitor::Wakeup> PropertyMonitor::sweep(
   swept_instance_ = snap.instance_id();
   if (selected.empty()) return {};
 
-  std::vector<Subscription*> affected;
-  affected.reserve(selected.size());
-  for (const Key& key : selected) affected.push_back(&subs_.at(key));
-
-  // One L1 compilation serves the whole sweep (its dirty-switch recompiles
-  // shard over the pool too); per-subscription evaluations are pure and fan
-  // out over the pool (the engine caches lock internally).
-  const hsa::NetworkModel model = engine_->model(snap, &pool);
-  std::vector<Wakeup> out(affected.size());
-  pool.parallel_for(affected.size(), [&](std::size_t i) {
-    Subscription& sub = *affected[i];
+  // Phase 1: evaluate every wakeup against one L1 compilation. Nothing in
+  // the registry moves yet, so a throwing evaluation leaves it untouched.
+  const hsa::NetworkModel model = engine_->model(snap);
+  std::vector<Wakeup> out;
+  out.reserve(selected.size());
+  for (const Key& key : selected) {
+    const Subscription& sub = subs_.at(key);
     QueryEngine::EvalContext ctx = base_ctx;
     ctx.from = sub.request_point;
-    Wakeup w;
-    w.key = Key{sub.client, sub.id};
+    Wakeup& w = out.emplace_back();
+    w.key = key;
     w.request_point = sub.request_point;
     w.evaluation = engine_->evaluate(model, snap, sub.property, ctx);
     w.evaluation.reply.request_id = sub.id;
     w.epoch = epoch;
     w.property_fingerprint = sub.property.fingerprint();
-    out[i] = std::move(w);
-  });
+  }
 
-  // The footprint move below is the index-update hook: entries must change
-  // in the same step the registry footprint does, or the next selection
-  // consults a stale index. Shards partition switches disjointly, so the
-  // per-shard maintenance fans out over the pool without a lock; unchanged
-  // footprints (the steady state under confined churn) skip entirely.
-  std::vector<std::uint8_t> changed(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    changed[i] = !affected[i]->evaluated ||
-                 affected[i]->footprint != out[i].evaluation.footprint;
-  }
-  if (!index_frozen()) {
-    pool.parallel_for(kSwitchShards, [&](std::size_t s) {
-      IndexShard& shard = index_[s];
-      for (std::size_t i = 0; i < affected.size(); ++i) {
-        if (!changed[i]) continue;
-        const Subscription& sub = *affected[i];
-        const Key key{sub.client, sub.id};
-        if (sub.evaluated) {
-          for (const SwitchId sw : sub.footprint) {
-            if (switch_shard(sw) != s) continue;
-            const auto it = shard.by_switch.find(sw.value);
-            if (it == shard.by_switch.end()) continue;
-            it->second.erase(key);
-            if (it->second.empty()) shard.by_switch.erase(it);
-          }
-        }
-        for (const SwitchId sw : out[i].evaluation.footprint) {
-          if (switch_shard(sw) != s) continue;
-          shard.by_switch[sw.value].insert(key);
-        }
-      }
-    });
-  }
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    Subscription& sub = *affected[i];
-    if (!sub.evaluated) unevaluated_.erase(Key{sub.client, sub.id});
+  // Phase 2: move each fresh footprint into the registry. This is the
+  // index-update hook: entries change in the same step the registry
+  // footprint does, or the next selection consults a stale index.
+  // Unchanged footprints (the steady state under confined churn) skip it.
+  for (Wakeup& w : out) {
+    Subscription& sub = subs_.at(w.key);
+    std::vector<SwitchId>& fresh = w.evaluation.footprint;
+    if (!sub.evaluated) {
+      unevaluated_.erase(w.key);
+      index_insert(fresh, w.key);
+    } else if (sub.footprint != fresh) {
+      index_erase(sub.footprint, w.key);
+      index_insert(fresh, w.key);
+    }
     // Moved, not copied: the registry is the footprint's home from here on
     // (wakeup consumers read it through find(), not the Evaluation).
-    sub.footprint = std::move(out[i].evaluation.footprint);
+    sub.footprint = std::move(fresh);
     sub.evaluated_epoch = epoch;
     sub.evaluated = true;
   }
-  stats_.wakeups += affected.size();
+  stats_.wakeups += out.size();
   return out;
 }
 

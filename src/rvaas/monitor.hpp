@@ -3,16 +3,15 @@
 // client-facing): clients register standing Property subscriptions; on every
 // snapshot epoch advance the monitor intersects the dirty switches with each
 // subscription's dependency footprint and re-evaluates only the affected
-// ones, fanned out over a thread pool. The controller completes each wakeup
-// with the usual in-band authentication round-trip and pushes a signed
-// ViolationAlert/AllClear notification when commit() says the outcome is
-// news to the client.
+// ones, in Key order on the caller's thread. The controller completes each
+// wakeup with the usual in-band authentication round-trip and pushes a
+// signed ViolationAlert/AllClear notification when commit() says the outcome
+// is news to the client.
 //
 // The monitor is pure logic over the QueryEngine (no I/O, no event loop):
 // the controller (rvaas/controller.hpp) owns packet dispatch and drives
 // sweep()/commit() from its churn hooks and re-verification timer.
 
-#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -20,8 +19,6 @@
 #include <unordered_set>
 
 #include "rvaas/engine.hpp"
-#include "rvaas/shard.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rvaas::core {
 
@@ -117,14 +114,15 @@ class PropertyMonitor {
   /// never evaluated; `force_all` re-evaluates everything — the timer-driven
   /// sweep that catches drift outside the change clock, e.g. meters and dead
   /// auth responders). Selection is served by the inverted footprint index
-  /// (O(affected), see indexed_wakeups below); evaluations fan out over
-  /// `pool` and are pure; wakeups come back in ascending Key order, so
-  /// downstream auth dispatch is deterministic. `base_ctx` supplies
-  /// geo/addressing; `from` is set per subscription. Reply request_ids are
-  /// set to the subscription id.
+  /// (O(affected), see indexed_wakeups below). Every wakeup is evaluated
+  /// before any registry footprint moves, so an evaluation that throws
+  /// leaves the registry and index untouched. Wakeups come back in
+  /// ascending Key order, so downstream auth dispatch is deterministic.
+  /// `base_ctx` supplies geo/addressing; `from` is set per subscription.
+  /// Reply request_ids are set to the subscription id.
   std::vector<Wakeup> sweep(const SnapshotManager& snap,
                             const QueryEngine::EvalContext& base_ctx,
-                            util::ThreadPool& pool, bool force_all = false);
+                            bool force_all = false);
 
   /// The wakeup set the inverted footprint index would select right now
   /// (ascending Key order): never-evaluated subscriptions plus every entry
@@ -147,7 +145,7 @@ class PropertyMonitor {
   std::vector<Key> linear_wakeups(const SnapshotManager& snap,
                                   bool force_all = false) const;
 
-  /// Total (switch, subscription) entries across index shards (tests).
+  /// Total (switch, subscription) entries in the index (tests).
   std::size_t index_entries() const;
 
   /// TEST-ONLY fault injection: while enabled, subscribe/unsubscribe and
@@ -189,8 +187,8 @@ class PropertyMonitor {
   /// every evaluated subscription whose footprint intersects it — and that
   /// is not already flagged — takes the degraded_notified debt, advances
   /// its sequence, and yields one DegradedPush. O(subs) linear scan:
-  /// unreachable transitions are rare by construction (they need
-  /// `unreachable_after` consecutive missed deadlines).
+  /// unreachable transitions are rare by construction (they need several
+  /// consecutive missed poll deadlines, see controller.cpp).
   std::vector<DegradedPush> mark_degraded(
       const std::vector<sdn::SwitchId>& unreachable);
 
@@ -199,14 +197,6 @@ class PropertyMonitor {
  private:
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept;
-  };
-  /// One partition of the inverted footprint index: switch → subscriptions
-  /// whose registry footprint contains it. Shards are disjoint by
-  /// construction (a switch lives in exactly one), so per-shard maintenance
-  /// fans out over the sweep pool without any lock.
-  struct IndexShard {
-    std::unordered_map<std::uint32_t, std::unordered_set<Key, KeyHash>>
-        by_switch;
   };
 
   /// Selection behind indexed_wakeups(); reports whether the linear
@@ -224,11 +214,11 @@ class PropertyMonitor {
   /// Ordered registry: sweep order (and with it notification order under
   /// simultaneous churn) is deterministic.
   std::map<Key, Subscription> subs_;
-  /// Inverted footprint index over the registry, sharded by switch
-  /// partition (shard.hpp). Entries exist exactly for evaluated
-  /// subscriptions' footprints; updated in the same step as the
+  /// Inverted footprint index over the registry: switch → subscriptions
+  /// whose registry footprint contains it. Entries exist exactly for
+  /// evaluated subscriptions' footprints; updated in the same step as the
   /// post-evaluation footprint move.
-  std::array<IndexShard, kSwitchShards> index_;
+  std::unordered_map<std::uint32_t, std::unordered_set<Key, KeyHash>> index_;
   /// Subscriptions awaiting their baseline evaluation (no footprint, no
   /// index entries yet). Ordered so selection output stays in Key order.
   std::set<Key> unevaluated_;

@@ -1,10 +1,10 @@
 #pragma once
-// Switch-partition sharding, shared by the monitor's inverted footprint
-// index and the L1/L2 cache eviction walks: every switch hashes to one of
-// kSwitchShards partitions, and per-shard state never aliases across
-// partitions, so sharded walks can fan out over a thread pool without a
-// global lock and eviction/selection cost tracks the dirty partition
-// rather than the total population.
+// Switch-partition sharding for the L2 cache (ReachCache, engine.hpp):
+// every switch hashes to one of kSwitchShards partitions, entries home by
+// their ingress switch's partition, and each footprint compresses to a
+// partition mask — so the eviction walk skips whole shards the churn cannot
+// touch and its cost tracks the dirty partition rather than the total
+// cache size.
 
 #include <cstdint>
 #include <span>
@@ -14,8 +14,7 @@
 namespace rvaas::core {
 
 /// Number of switch partitions. A power of two so the modulo compiles to a
-/// mask; 16 keeps per-shard fan-out useful on small pools without slicing
-/// the fuzzer's 3-switch topologies into mostly-empty work items.
+/// mask; at most 32 so a partition mask fits in one uint32_t.
 inline constexpr std::size_t kSwitchShards = 16;
 
 /// The partitioning rule: dense generator-assigned switch ids round-robin

@@ -59,9 +59,10 @@ constexpr std::size_t kMaxTrackedSubs = 3;
 
 /// Honesty bound for oracle (f): a switch hard-faulted (100% drop or
 /// partitioned) continuously for this long must not read Healthy. With
-/// fixed 20 ms polling, a 2 ms deadline and degraded_after = 1, the first
-/// missed deadline lands within ~22 ms of the fault in the worst case
-/// (fault right after a poll round); 30 ms leaves margin for retry jitter.
+/// fixed 20 ms polling, the controller's 2 ms poll deadline and its
+/// Degraded-after-one-miss threshold (controller.cpp), the first missed
+/// deadline lands within ~22 ms of the fault in the worst case (fault right
+/// after a poll round); 30 ms leaves margin for retry jitter.
 constexpr sim::Time kHonestyBound = 30 * sim::kMillisecond;
 /// Post-heal reconvergence: settle-and-recheck rounds and their length.
 /// 8 x 25 ms covers several fixed poll periods, the Unreachable circuit
@@ -559,7 +560,7 @@ class Runner {
   /// Bulk-registers untracked subscriptions across clients so the monitor
   /// registry (and with it the inverted footprint index) grows past the
   /// kMaxTrackedSubs handful oracle (b) follows. Notifications are
-  /// discarded; these subscriptions exist purely to populate index shards
+  /// discarded; these subscriptions exist purely to populate the index
   /// with multi-entry buckets for oracle (e). Per-client caps may reject
   /// some registrations — harmless, the index just grows less.
   void do_mass_subscribe(const Step& step) {

@@ -29,7 +29,7 @@ enum class StepKind : std::uint8_t {
   MassSubscribe,  ///< bulk-register 4 + b % 5 untracked subscriptions across
                   ///< tenants: a = client base, c = query shape base. Grows
                   ///< the monitor registry so the index-vs-linear oracle
-                  ///< exercises multi-entry index shards, not just the
+                  ///< exercises multi-entry index buckets, not just the
                   ///< kMaxTrackedSubs handful.
 
   // Control-channel fault steps (sdn/fault_plane.hpp). Only generated when

@@ -1,8 +1,7 @@
 // Push-style continuous verification: subscription notifications must be
 // byte-identical to cold one-shot queries for every QueryKind across
 // randomized churn, wakeups must be confined by the dependency footprint,
-// alerts must carry valid enclave signatures, and the parallel sweep must be
-// equivalent across thread counts.
+// and alerts must carry valid enclave signatures.
 
 #include <gtest/gtest.h>
 
@@ -301,102 +300,86 @@ TEST(Monitor, PerClientSubscriptionCapEnforced) {
   EXPECT_EQ(runtime.rvaas().monitor().active(), 2u);
 }
 
-// --- engine-level sweep equivalence across thread counts ---
+// --- a wakeup still waiting on authentication ---
 
-TEST(Monitor, SweepEquivalentAcrossThreadCounts) {
-  // h10 - s1 - s2 - s3 - h11; h12 at s2 (the test_engine fixture shape).
-  sdn::Topology topo;
-  topo.add_switch(SwitchId(1), 4, {50.0, 8.0, "DE"});
-  topo.add_switch(SwitchId(2), 4, {48.8, 2.3, "FR"});
-  topo.add_switch(SwitchId(3), 4, {40.7, -74.0, "US"});
-  topo.add_link({SwitchId(1), PortNo(0)}, {SwitchId(2), PortNo(0)});
-  topo.add_link({SwitchId(2), PortNo(1)}, {SwitchId(3), PortNo(0)});
-  topo.attach_host(HostId(10), {SwitchId(1), PortNo(1)});
-  topo.attach_host(HostId(11), {SwitchId(3), PortNo(1)});
-  topo.attach_host(HostId(12), {SwitchId(2), PortNo(2)});
+TEST(Monitor, InflightWakeupSupersededOrDroppedBeforeItPushes) {
+  // The last host of linear-3 is reserved for a wire session that never
+  // connects: its access point stays in every reachable set and the auth
+  // request sent there goes unanswered until auth_timeout, so the baseline
+  // wakeup waits in flight that long. Three things may happen to it first.
+  enum class Interrupt { Churn, Unsubscribe, Evict };
+  for (const Interrupt interrupt :
+       {Interrupt::Churn, Interrupt::Unsubscribe, Interrupt::Evict}) {
+    SCOPED_TRACE(static_cast<int>(interrupt));
+    ScenarioConfig config;
+    config.generated = linear(3);
+    config.seed = 17;
+    config.rvaas.polling = core::PollingMode::Disabled;
+    config.wire_hosts = {config.generated.hosts.back()};
+    ScenarioRuntime runtime(std::move(config));
+    const auto& hosts = runtime.hosts();
+    core::RvaasController& rvaas = runtime.rvaas();
 
-  core::SnapshotManager snap;
-  std::uint64_t next_id = 1;
-  const auto add_rule = [&](SwitchId sw, std::uint16_t priority, Match match,
-                            sdn::ActionList actions) {
-    sdn::FlowEntry e;
-    e.id = sdn::FlowEntryId(next_id++);
-    e.priority = priority;
-    e.match = std::move(match);
-    e.actions = std::move(actions);
-    snap.apply_update({sw, sdn::FlowUpdateKind::Added, e}, 0);
-  };
-  add_rule(SwitchId(1), 5, Match().in_port(PortNo(1)),
-           {sdn::output(PortNo(0))});
-  add_rule(SwitchId(2), 5, Match().in_port(PortNo(0)),
-           {sdn::output(PortNo(1))});
-  add_rule(SwitchId(3), 5, Match().in_port(PortNo(0)),
-           {sdn::output(PortNo(1))});
-  add_rule(SwitchId(3), 5, Match().in_port(PortNo(1)),
-           {sdn::output(PortNo(0))});
-  add_rule(SwitchId(2), 5, Match().in_port(PortNo(1)),
-           {sdn::output(PortNo(0))});
-  add_rule(SwitchId(1), 5, Match().in_port(PortNo(0)),
-           {sdn::output(PortNo(1))});
+    std::vector<ClientAgent::MonitorEvent> events;
+    Property property;
+    property.kind = QueryKind::ReachableEndpoints;
+    const std::uint64_t sub_id = runtime.client(hosts[0]).subscribe(
+        property, [&events](const ClientAgent::MonitorEvent& event) {
+          events.push_back(event);
+        });
 
-  const core::QueryEngine engine(topo, core::EngineConfig{});
-  const core::DisclosedGeo geo(topo);
-  control::HostAddressing addressing;
-  addressing.assign(HostId(10));
-  addressing.assign(HostId(11));
-  addressing.assign(HostId(12));
+    // Step until the baseline evaluation has dispatched its auth requests.
+    const sim::Time give_up = runtime.loop().now() + 5 * sim::kMillisecond;
+    while (rvaas.monitor().stats().wakeups == 0 &&
+           runtime.loop().now() < give_up) {
+      runtime.loop().run_until(runtime.loop().now() + 50 * sim::kMicrosecond);
+    }
+    ASSERT_EQ(rvaas.monitor().stats().wakeups, 1u);
+    const PropertyMonitor::Subscription* sub =
+        rvaas.monitor().find(hosts[0], sub_id);
+    ASSERT_NE(sub, nullptr);
+    const std::uint64_t first_epoch = sub->evaluated_epoch;
+    const std::uint64_t auth_ok = rvaas.stats().auth_replies_ok;
 
-  core::QueryEngine::EvalContext ctx;
-  ctx.geo = &geo;
-  ctx.addressing = &addressing;
-
-  const auto make_subs = [&](PropertyMonitor& monitor) {
-    std::uint64_t id = 1;
-    for (const PortRef ap : topo.all_access_points()) {
-      for (const QueryKind kind :
-           {QueryKind::ReachableEndpoints, QueryKind::ReachingSources,
-            QueryKind::Isolation, QueryKind::Geo, QueryKind::PathLength,
-            QueryKind::Fairness, QueryKind::TransferSummary}) {
-        PropertyMonitor::Subscription sub;
-        sub.id = id++;
-        sub.client = HostId(10);
-        sub.request_point = ap;
-        sub.property.kind = kind;
-        if (kind == QueryKind::PathLength) sub.property.peer = HostId(11);
-        monitor.subscribe(std::move(sub));
+    switch (interrupt) {
+      case Interrupt::Churn: {
+        FlowMod mod;
+        mod.priority = 3;
+        mod.cookie = 0x5e5e;
+        mod.match = Match().exact(Field::L4Dst, 9999);
+        mod.actions = {sdn::drop()};
+        runtime.network()
+            .switch_sim(sub->footprint.front())
+            .apply_flow_mod(kProviderId, mod);
+        break;
       }
+      case Interrupt::Unsubscribe:
+        runtime.client(hosts[0]).unsubscribe(sub_id);
+        break;
+      case Interrupt::Evict:
+        EXPECT_EQ(rvaas.evict_client(hosts[0]), 1u);
+        break;
     }
-  };
+    runtime.settle(20 * sim::kMillisecond);
 
-  // Reference: sequential sweep. Footprints live in the registry after a
-  // sweep (the Evaluation's vector is moved out), so read them via find().
-  std::vector<util::Bytes> reference;
-  std::vector<std::vector<SwitchId>> reference_footprints;
-  {
-    PropertyMonitor monitor(engine);
-    make_subs(monitor);
-    util::ThreadPool pool(0);
-    const auto wakeups = monitor.sweep(snap, ctx, pool);
-    for (const auto& w : wakeups) {
-      reference.push_back(reply_bytes(w.evaluation.reply));
-      reference_footprints.push_back(
-          monitor.find(w.key.first, w.key.second)->footprint);
-    }
-    ASSERT_EQ(wakeups.size(), 21u);  // 3 access points x 7 kinds
-  }
-
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    PropertyMonitor monitor(engine);
-    make_subs(monitor);
-    util::ThreadPool pool(threads - 1);
-    const auto wakeups = monitor.sweep(snap, ctx, pool);
-    ASSERT_EQ(wakeups.size(), reference.size()) << threads << " threads";
-    for (std::size_t i = 0; i < wakeups.size(); ++i) {
-      EXPECT_EQ(reply_bytes(wakeups[i].evaluation.reply), reference[i])
-          << threads << " threads, wakeup " << i;
-      EXPECT_EQ(monitor.find(wakeups[i].key.first, wakeups[i].key.second)
-                    ->footprint,
-                reference_footprints[i]);
+    if (interrupt == Interrupt::Churn) {
+      // The newer evaluation superseded the pending one: exactly one
+      // baseline push, carrying the newer evaluation's epoch.
+      EXPECT_EQ(rvaas.monitor().stats().wakeups, 2u);
+      sub = rvaas.monitor().find(hosts[0], sub_id);
+      ASSERT_NE(sub, nullptr);
+      EXPECT_GT(sub->evaluated_epoch, first_epoch);
+      EXPECT_EQ(rvaas.stats().notifications_sent, 1u);
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0].sequence, 1u);
+      EXPECT_EQ(events[0].epoch, sub->evaluated_epoch);
+    } else {
+      // The dropped evaluation never pushes, and the answering peer's auth
+      // reply finds nothing left to admit it into.
+      EXPECT_EQ(rvaas.monitor().active(), 0u);
+      EXPECT_EQ(rvaas.stats().notifications_sent, 0u);
+      EXPECT_EQ(rvaas.stats().auth_replies_ok, auth_ok);
+      EXPECT_TRUE(events.empty());
     }
   }
 }
@@ -531,9 +514,8 @@ TEST(Monitor, ResubscribeIdempotentAndReplacementKeepsSequence) {
   sub.property.kind = QueryKind::TransferSummary;
   monitor.subscribe(sub);
 
-  util::ThreadPool pool(0);
   core::QueryEngine::EvalContext ctx;
-  ASSERT_EQ(monitor.sweep(snap, ctx, pool).size(), 1u);
+  ASSERT_EQ(monitor.sweep(snap, ctx).size(), 1u);
   const auto first =
       monitor.commit({HostId(10), 1}, QueryReply{});
   EXPECT_NE(first.push, PropertyMonitor::Push::None);
@@ -541,13 +523,13 @@ TEST(Monitor, ResubscribeIdempotentAndReplacementKeepsSequence) {
 
   // Identical re-subscribe: nothing to re-evaluate, nothing re-pushed.
   monitor.subscribe(sub);
-  EXPECT_TRUE(monitor.sweep(snap, ctx, pool).empty());
+  EXPECT_TRUE(monitor.sweep(snap, ctx).empty());
 
   // Replacement (different constraint): re-evaluates, sequence continues.
   PropertyMonitor::Subscription replacement = sub;
   replacement.property.constraint = Match().exact(Field::IpProto, 17);
   monitor.subscribe(replacement);
-  ASSERT_EQ(monitor.sweep(snap, ctx, pool).size(), 1u);
+  ASSERT_EQ(monitor.sweep(snap, ctx).size(), 1u);
   const auto second = monitor.commit({HostId(10), 1}, QueryReply{});
   EXPECT_NE(second.push, PropertyMonitor::Push::None);
   EXPECT_EQ(second.sequence, 2u);

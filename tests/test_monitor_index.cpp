@@ -16,7 +16,6 @@
 #include "rvaas/geo.hpp"
 #include "rvaas/monitor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rvaas::core {
 namespace {
@@ -69,8 +68,7 @@ class IndexOracle : public ::testing::Test {
   IndexOracle()
       : topo_(make_topo()),
         engine_(topo_, EngineConfig{}),
-        monitor_(engine_),
-        pool_(0) {
+        monitor_(engine_) {
     seed_routing(snap_, next_entry_id_);
     addressing_.assign(HostId(10));
     addressing_.assign(HostId(11));
@@ -144,7 +142,6 @@ class IndexOracle : public ::testing::Test {
   SnapshotManager snap_;
   QueryEngine engine_;
   PropertyMonitor monitor_;
-  util::ThreadPool pool_;
   DisclosedGeo geo_{topo_};
   control::HostAddressing addressing_;
   QueryEngine::EvalContext ctx_;
@@ -186,9 +183,9 @@ TEST_F(IndexOracle, RandomizedScheduleStaysEquivalent) {
     } else if (w < 75) {
       churn(switches[rng.below(3)], static_cast<std::uint32_t>(rng.below(64)));
     } else if (w < 90) {
-      monitor_.sweep(snap_, ctx_, pool_);
+      monitor_.sweep(snap_, ctx_);
     } else if (w < 96) {
-      monitor_.sweep(snap_, ctx_, pool_, /*force_all=*/true);
+      monitor_.sweep(snap_, ctx_, /*force_all=*/true);
     } else {
       // Restart semantics: same content, fresh identity — the next selection
       // must take the linear fallback and still agree.
@@ -210,7 +207,7 @@ TEST_F(IndexOracle, SingleSwitchChurnWakesOnlyAffected) {
   // tentpole property, asserted through the public selection.
   subscribe(1, HostId(10), 0);  // ReachableEndpoints from s1
   subscribe(2, HostId(11), 0);  // ReachableEndpoints from s3
-  monitor_.sweep(snap_, ctx_, pool_);
+  monitor_.sweep(snap_, ctx_);
   expect_equivalent("baseline");
 
   const auto* left = monitor_.find(HostId(10), 1);
@@ -237,7 +234,7 @@ TEST_F(IndexOracle, SingleSwitchChurnWakesOnlyAffected) {
 TEST_F(IndexOracle, SnapshotCopyFallsBackAndAgrees) {
   subscribe(1, HostId(10), 0);
   subscribe(2, HostId(12), 2);
-  monitor_.sweep(snap_, ctx_, pool_);
+  monitor_.sweep(snap_, ctx_);
   churn(SwitchId(2), 3);
 
   // A copied snapshot has a fresh instance id: the index anchors do not
@@ -246,15 +243,14 @@ TEST_F(IndexOracle, SnapshotCopyFallsBackAndAgrees) {
   const SnapshotManager copy = snap_;
   const auto before = monitor_.stats().fallback_sweeps;
   EXPECT_EQ(monitor_.indexed_wakeups(copy), monitor_.linear_wakeups(copy));
-  util::ThreadPool pool(0);
-  monitor_.sweep(copy, ctx_, pool);
+  monitor_.sweep(copy, ctx_);
   EXPECT_GT(monitor_.stats().fallback_sweeps, before);
 }
 
 TEST_F(IndexOracle, UnsubscribeAndReplacementDropIndexEntries) {
   subscribe(1, HostId(10), 0);
   subscribe(2, HostId(11), 3);
-  monitor_.sweep(snap_, ctx_, pool_);
+  monitor_.sweep(snap_, ctx_);
   expect_entry_count("after baseline sweep");
   ASSERT_GT(monitor_.index_entries(), 0u);
 
@@ -264,7 +260,7 @@ TEST_F(IndexOracle, UnsubscribeAndReplacementDropIndexEntries) {
   subscribe(1, HostId(10), 2);
   EXPECT_LT(monitor_.index_entries(), with_both);
   expect_equivalent("after replacement");
-  monitor_.sweep(snap_, ctx_, pool_);
+  monitor_.sweep(snap_, ctx_);
   expect_entry_count("after re-evaluation");
 
   EXPECT_TRUE(monitor_.unsubscribe(HostId(11), 2));
@@ -274,6 +270,38 @@ TEST_F(IndexOracle, UnsubscribeAndReplacementDropIndexEntries) {
   all_keys_.erase({HostId(10), 1});
   EXPECT_EQ(monitor_.index_entries(), 0u);
   expect_equivalent("empty registry");
+}
+
+TEST_F(IndexOracle, FootprintChangeRewritesIndexEntries) {
+  // The fixture's churn() never changes forwarding; here a high-priority
+  // drop at s1 cuts the s1-s2-s3 path short, so the re-evaluation shrinks
+  // the footprint and the sweep must move the index entries with it (and
+  // back again once the drop is removed).
+  subscribe(1, HostId(10), 0);
+  monitor_.sweep(snap_, ctx_);
+  const auto* sub = monitor_.find(HostId(10), 1);
+  ASSERT_NE(sub, nullptr);
+  const std::vector<SwitchId> full = sub->footprint;
+  ASSERT_GT(full.size(), 1u);
+
+  sdn::FlowEntry cut;
+  cut.id = sdn::FlowEntryId(next_entry_id_++);
+  cut.priority = 9;
+  cut.match = Match().in_port(PortNo(1));
+  cut.actions = {sdn::drop()};
+  snap_.apply_update({SwitchId(1), sdn::FlowUpdateKind::Added, cut}, 0);
+  monitor_.sweep(snap_, ctx_);
+  EXPECT_EQ(sub->footprint, std::vector<SwitchId>{SwitchId(1)});
+  expect_entry_count("after the footprint shrank");
+  churn(SwitchId(3), 1);  // outside the shrunk footprint: wakes nothing
+  EXPECT_TRUE(expect_equivalent("churn off the shrunk footprint").empty());
+
+  snap_.apply_update({SwitchId(1), sdn::FlowUpdateKind::Removed, cut}, 0);
+  monitor_.sweep(snap_, ctx_);
+  EXPECT_EQ(sub->footprint, full);
+  expect_entry_count("after the footprint grew back");
+  churn(SwitchId(3), 2);
+  EXPECT_EQ(expect_equivalent("churn on the restored footprint").size(), 1u);
 }
 
 TEST_F(IndexOracle, FrozenIndexDivergesFromLinearReference) {
@@ -286,7 +314,7 @@ TEST_F(IndexOracle, FrozenIndexDivergesFromLinearReference) {
   // writes the footprint back.
   subscribe(1, HostId(10), 0);
   PropertyMonitor::test_fault_freeze_index(true);
-  monitor_.sweep(snap_, ctx_, pool_);  // baseline evaluated, index frozen
+  monitor_.sweep(snap_, ctx_);  // baseline evaluated, index frozen
   EXPECT_EQ(monitor_.index_entries(), 0u);
 
   churn(SwitchId(1), 1);
@@ -304,7 +332,7 @@ TEST_F(IndexOracle, FrozenIndexDivergesFromLinearReference) {
   // state, and the next sweep indexes the fresh footprint.
   PropertyMonitor::test_fault_freeze_index(false);
   subscribe(1, HostId(10), 2);
-  monitor_.sweep(snap_, ctx_, pool_);
+  monitor_.sweep(snap_, ctx_);
   expect_equivalent("after replacement heal");
   expect_entry_count("after replacement heal");
 }

@@ -1,9 +1,8 @@
-// ReachCache (the L2 result tier) and the parallel all-pairs engine: cached
-// and fanned-out reachability must be indistinguishable from a cold
-// sequential model.reach() — structurally and as serialized query replies
-// (including the EndpointsOnly redaction) — across randomized churn, while
-// invalidating exactly the entries whose dependency footprint intersects the
-// dirty switches.
+// ReachCache (the L2 result tier): cached reachability must be
+// indistinguishable from a cold model.reach() — structurally and as
+// serialized query replies (including the EndpointsOnly redaction) — across
+// randomized churn, while invalidating exactly the entries whose dependency
+// footprint intersects the dirty switches.
 
 #include <gtest/gtest.h>
 
@@ -289,74 +288,6 @@ TEST(ReachCache, CachedAnswersStayByteIdenticalAcrossChurn) {
   const auto s = engine.reach_stats();
   EXPECT_GT(s.hits, 0u);
   EXPECT_EQ(s.full_clears, 0u);
-}
-
-TEST(ReachCache, ParallelReachAllIsByteIdenticalToSequentialColdRuns) {
-  ChurnFixture f;
-  const auto access_points = f.topo().all_access_points();
-  const auto hs = QueryEngine::constraint_space(
-      Match().exact(Field::IpProto, sdn::kIpProtoTcp).exact(Field::L4Dst, 443));
-
-  // The cold sequential truth, computed once.
-  QueryEngine cold_engine(f.topo(), EngineConfig{});
-  const hsa::NetworkModel cold_model = cold_engine.model_uncached(f.snap);
-  std::vector<hsa::ReachabilityResult> expected;
-  for (const PortRef ap : access_points) {
-    expected.push_back(cold_model.reach(ap, hs, 64));
-  }
-
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    QueryEngine engine(f.topo(), EngineConfig{});  // fresh, empty caches
-    const auto sweep = engine.reach_all(f.snap, hs, threads);
-    ASSERT_EQ(sweep.size(), access_points.size()) << threads << " threads";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      ASSERT_EQ(sweep[i].ingress, access_points[i]);
-      ASSERT_EQ(*sweep[i].result, expected[i])
-          << threads << " threads, ingress " << access_points[i];
-    }
-    // The sweep populated the cache: re-running is all hits.
-    const auto misses_before = engine.reach_stats().misses;
-    (void)engine.reach_all(f.snap, hs, threads);
-    EXPECT_EQ(engine.reach_stats().misses, misses_before);
-  }
-}
-
-TEST(ReachCache, ReachAllWarmsTheQueryPaths) {
-  ChurnFixture f;
-  QueryEngine engine(f.topo(), EngineConfig{});
-  const auto access_points = f.topo().all_access_points();
-  const auto hs = hsa::HeaderSpace::all();
-
-  (void)engine.reach_all(f.snap, hs, 2);
-  const auto misses_after_sweep = engine.reach_stats().misses;
-
-  // A ReachingSources query traverses from EVERY access point — after the
-  // sweep, all of them are warm.
-  QueryEngine::EvalContext ctx;
-  ctx.from = access_points.front();
-  Property property;
-  property.kind = QueryKind::ReachingSources;
-  (void)engine.evaluate(engine.model(f.snap), f.snap, property, ctx);
-  EXPECT_EQ(engine.reach_stats().misses, misses_after_sweep);
-}
-
-TEST(ReachCache, ModelReachAllMatchesSequentialReach) {
-  IslandFixture f;
-  const hsa::NetworkModel model =
-      hsa::NetworkModel::from_tables(f.topo, f.snap.table_dump());
-  const auto ingresses = f.topo.all_access_points();
-
-  util::ThreadPool pool(3);
-  const auto fanned = model.reach_all(ingresses, hsa::HeaderSpace::all(), pool);
-  ASSERT_EQ(fanned.size(), ingresses.size());
-  for (std::size_t i = 0; i < ingresses.size(); ++i) {
-    EXPECT_EQ(fanned[i], model.reach(ingresses[i], hsa::HeaderSpace::all()));
-  }
-
-  // The parallel sources_reaching overload agrees with the sequential one.
-  const PortRef target{SwitchId(2), PortNo(1)};
-  EXPECT_EQ(model.sources_reaching(target, hsa::HeaderSpace::all()),
-            model.sources_reaching(target, hsa::HeaderSpace::all(), pool));
 }
 
 TEST(ReachCache, SnapshotIdentityChangeClearsEverything) {

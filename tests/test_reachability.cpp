@@ -1,5 +1,5 @@
 // Network-wide reachability: endpoints, shadowing across switches, loops,
-// inverse reachability, and the HSA ⇄ data-plane agreement property on
+// dependency footprints, and the HSA ⇄ data-plane agreement property on
 // random networks (the key soundness argument for RVaaS's logical step).
 
 #include <gtest/gtest.h>
@@ -162,23 +162,6 @@ TEST(Reachability, TerminatesOnLoopWithRewrite) {
       NetworkModel::from_tables(f.net->topology(), dump_tables(*f.net));
   const ReachabilityResult r = model.reach_from_host(HostId(10));
   EXPECT_FALSE(r.loops.empty());
-}
-
-TEST(Reachability, SourcesReachingTarget) {
-  LineNet f;
-  // Bidirectional path between h10 and h11 only (h12 isolated).
-  f.add(SwitchId(1), 5, Match().in_port(PortNo(1)), {sdn::output(PortNo(0))});
-  f.add(SwitchId(2), 5, Match().in_port(PortNo(0)), {sdn::output(PortNo(1))});
-  f.add(SwitchId(3), 5, Match().in_port(PortNo(0)), {sdn::output(PortNo(1))});
-  f.add(SwitchId(3), 5, Match().in_port(PortNo(1)), {sdn::output(PortNo(0))});
-  f.add(SwitchId(2), 5, Match().in_port(PortNo(1)), {sdn::output(PortNo(0))});
-  f.add(SwitchId(1), 5, Match().in_port(PortNo(0)), {sdn::output(PortNo(1))});
-
-  const NetworkModel model =
-      NetworkModel::from_tables(f.net->topology(), dump_tables(*f.net));
-  const auto sources = model.sources_reaching({SwitchId(3), PortNo(1)},
-                                              HeaderSpace::all());
-  EXPECT_EQ(sources, (std::vector<PortRef>{{SwitchId(1), PortNo(1)}}));
 }
 
 TEST(Reachability, FootprintCoversConsultedSwitches) {

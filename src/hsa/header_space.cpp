@@ -167,7 +167,7 @@ HeaderSpace HeaderSpace::subtract(const Wildcard& w) const {
     Cube nc = c;
     nc.diffs.push_back(std::move(clipped));
     nc.note_diff_appended();
-    if (nc.diffs.size() > kMaxLazyDiffs) {
+    if (nc.diffs.size() > kMaxLazyDiffs && !nc.materialize_failed_) {
       // Bounded laziness: flatten base \ diffs into canonical plain cubes
       // instead of letting covered() re-prove an ever-deeper recursion on
       // every is_empty() from here on. When the flattened form itself would
@@ -181,6 +181,10 @@ HeaderSpace HeaderSpace::subtract(const Wildcard& w) const {
         }
         continue;
       }
+      // Sticky: try_materialize applies diffs in order and this list only
+      // grows by appending, so every later retry would replay the failed
+      // prefix and fail at the same level.
+      nc.materialize_failed_ = true;
     }
     out.cubes_.push_back(std::move(nc));
   }

@@ -12,6 +12,10 @@
 //   - a diff list is LAZY only up to kMaxLazyDiffs entries; past that the
 //     cube is materialized into plain (diff-free) cubes, so emptiness never
 //     re-proves an ever-deeper recursion;
+//   - that flatten bails out past kMaxMaterializeCubes, and the bail-out is
+//     sticky: the flatten applies diffs in order and subtract() only appends,
+//     so a retry on a longer list would replay the failed prefix and fail at
+//     the same level — the cube is marked and never retried;
 //   - plain cubes produced by subtract/rewrite/compact are merged through
 //     insert_canonical (subset absorption both ways + one-position merge);
 //   - per-cube emptiness is memoized (diff lists only grow via subtract,
@@ -34,7 +38,8 @@ struct Cube {
   bool is_empty() const;
 
   /// Structural (not semantic) equality: same base, same diff list. The
-  /// emptiness memo is excluded — it is derived state.
+  /// emptiness memo and the materialization mark are excluded — they are
+  /// derived state.
   bool operator==(const Cube& other) const {
     return base == other.base && diffs == other.diffs;
   }
@@ -49,6 +54,11 @@ struct Cube {
   // -1 unknown, 0 non-empty, 1 empty. Mutable: is_empty() is semantically
   // const. Default-initialized so aggregate construction stays valid.
   mutable std::int8_t empty_memo_ = -1;
+
+  // Set by subtract() once this diff list failed to materialize within
+  // kMaxMaterializeCubes. Derived state like empty_memo_: copies keep it;
+  // intersect() and rewrite() build new diff lists and start without it.
+  bool materialize_failed_ = false;
 };
 
 class HeaderSpace {

@@ -148,7 +148,9 @@ TEST_F(CodecFixture, RequestPacketSurvivesTruncationAndBitFlips) {
   assault(packet, [&](const Packet& p) {
     const auto opened = inband::open_request(p, enclave);
     // A tampered box must never decrypt: sealed boxes are authenticated.
-    if (p.payload != packet.payload) EXPECT_FALSE(opened.has_value());
+    if (p.payload != packet.payload) {
+      EXPECT_FALSE(opened.has_value());
+    }
   });
   inflate(packet, [&](const Packet& p) { (void)inband::open_request(p, enclave); });
 }
@@ -159,7 +161,9 @@ TEST_F(CodecFixture, SubscribePacketSurvivesTruncationAndBitFlips) {
   ASSERT_TRUE(inband::open_subscribe(packet, enclave).has_value());
   assault(packet, [&](const Packet& p) {
     const auto opened = inband::open_subscribe(p, enclave);
-    if (p.payload != packet.payload) EXPECT_FALSE(opened.has_value());
+    if (p.payload != packet.payload) {
+      EXPECT_FALSE(opened.has_value());
+    }
   });
   inflate(packet,
           [&](const Packet& p) { (void)inband::open_subscribe(p, enclave); });
@@ -174,7 +178,9 @@ TEST_F(CodecFixture, NotifyPacketSurvivesTruncationAndBitFlips) {
   ASSERT_TRUE(opened->signature_ok);
   assault(packet, [&](const Packet& p) {
     const auto o = inband::open_notify(p, client_box, enclave.verify_key());
-    if (p.payload != packet.payload) EXPECT_FALSE(o.has_value());
+    if (p.payload != packet.payload) {
+      EXPECT_FALSE(o.has_value());
+    }
   });
   inflate(packet, [&](const Packet& p) {
     (void)inband::open_notify(p, client_box, enclave.verify_key());
@@ -193,7 +199,9 @@ TEST_F(CodecFixture, DegradedNotifyPacketSurvivesTruncationAndBitFlips) {
   EXPECT_TRUE(opened->notification.reply.freshness.degraded());
   assault(packet, [&](const Packet& p) {
     const auto o = inband::open_notify(p, client_box, enclave.verify_key());
-    if (p.payload != packet.payload) EXPECT_FALSE(o.has_value());
+    if (p.payload != packet.payload) {
+      EXPECT_FALSE(o.has_value());
+    }
   });
   inflate(packet, [&](const Packet& p) {
     (void)inband::open_notify(p, client_box, enclave.verify_key());
@@ -232,7 +240,9 @@ TEST_F(CodecFixture, ReplyPacketSurvivesTruncationAndBitFlips) {
   ASSERT_TRUE(opened->signature_ok);
   assault(packet, [&](const Packet& p) {
     const auto o = inband::open_reply(p, client_box, enclave.verify_key());
-    if (p.payload != packet.payload) EXPECT_FALSE(o.has_value());
+    if (p.payload != packet.payload) {
+      EXPECT_FALSE(o.has_value());
+    }
   });
   inflate(packet, [&](const Packet& p) {
     (void)inband::open_reply(p, client_box, enclave.verify_key());
@@ -291,7 +301,9 @@ TEST_F(CodecFixture, AuthPacketsSurviveTruncationAndBitFlips) {
   assault(request, [&](const Packet& p) {
     const auto o = inband::verify_auth_request(p, enclave.verify_key());
     // Auth requests are signed plaintext: any tamper breaks the signature.
-    if (p.payload != request.payload) EXPECT_FALSE(o.has_value());
+    if (p.payload != request.payload) {
+      EXPECT_FALSE(o.has_value());
+    }
   });
 
   inband::AuthReply reply;

@@ -210,6 +210,53 @@ TEST(HeaderSpace, MaterializationPreservesSemantics) {
   EXPECT_TRUE(hs.contains(header(HeaderSpace::kMaxLazyDiffs + 3, 6)));
 }
 
+TEST(HeaderSpace, FailedMaterializationStaysLazyAndExact) {
+  // Exact 32-bit addresses shatter all() into far more than
+  // kMaxMaterializeCubes plain cubes, so the flatten past kMaxLazyDiffs
+  // bails out and the cube keeps growing lazily, one diff per subtraction.
+  const auto ip_cube = [](std::uint64_t ip) {
+    Wildcard w;
+    w.set_field(Field::IpDst, ip);
+    return w;
+  };
+  const auto ip_header = [](std::uint64_t ip) {
+    HeaderFields h;
+    h.ip_dst = ip;
+    return h;
+  };
+  constexpr std::uint64_t kAddrs = 16;
+  const auto addr = [](std::uint64_t i) { return 0x0a000001 + i * 0x10203; };
+
+  HeaderSpace hs = HeaderSpace::all();
+  for (std::uint64_t i = 0; i < kAddrs; ++i) {
+    hs = hs.subtract(ip_cube(addr(i)));
+    ASSERT_EQ(hs.cube_count(), 1u);
+    EXPECT_EQ(hs.cubes()[0].diffs.size(), i + 1);
+  }
+  EXPECT_TRUE(hs.resolve_within(HeaderSpace::kMaxMaterializeCubes).empty());
+  for (std::uint64_t i = 0; i < kAddrs; ++i) {
+    EXPECT_FALSE(hs.contains(ip_header(addr(i))));
+  }
+  const std::uint64_t outside = addr(kAddrs);
+  EXPECT_TRUE(hs.contains(ip_header(outside)));
+
+  // intersect() builds a new diff list — here an empty one, since no diff
+  // holds `outside` — so the bail-out does not carry over: the narrowed cube
+  // materializes once its own list passes kMaxLazyDiffs.
+  hs = hs.intersect(ip_cube(outside));
+  for (std::uint64_t v = 0; v < HeaderSpace::kMaxLazyDiffs + 3; ++v) {
+    hs = hs.subtract(vlan_cube(v));
+  }
+  for (const Cube& c : hs.cubes()) {
+    EXPECT_LE(c.diffs.size(), HeaderSpace::kMaxLazyDiffs);
+  }
+  HeaderFields kept = ip_header(outside);
+  kept.vlan = HeaderSpace::kMaxLazyDiffs + 3;
+  EXPECT_TRUE(hs.contains(kept));
+  kept.vlan = 0;
+  EXPECT_FALSE(hs.contains(kept));
+}
+
 TEST(HeaderSpace, EmptinessMemoSurvivesCopiesAndAppends) {
   // Two half-space diffs (proto high bit 0 / 1) cover the base between
   // them; neither alone is a full shadow, so both take the append path and
@@ -338,7 +385,9 @@ TEST_P(HeaderSpaceProperty, OperationsPreserveMembership) {
   }
   // The model's domain is restricted; hs may contain headers outside it, so
   // only one implication holds strictly:
-  if (hs.is_empty()) EXPECT_TRUE(model_empty);
+  if (hs.is_empty()) {
+    EXPECT_TRUE(model_empty);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeaderSpaceProperty,

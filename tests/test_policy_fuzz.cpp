@@ -179,7 +179,9 @@ void run_schedule(AsWorld& world, util::Rng& rng, OracleCounters& counters) {
                                   hijack_in.feeder_class);
       EXPECT_EQ(d.hijack, t.hijack) << stage << ": hijack oracle split in "
                                     << "domain " << hd;
-      if (hijack) EXPECT_TRUE(d.hijack) << stage;
+      if (hijack) {
+        EXPECT_TRUE(d.hijack) << stage;
+      }
       counters.hijacks_detected += d.hijack ? 1 : 0;
     }
     if (leak) {

@@ -113,7 +113,9 @@ TEST(Wildcard, SubsetReflexiveAndAntisymmetric) {
     const Wildcard a = random_cube(rng);
     EXPECT_TRUE(a.subset_of(a));
     const Wildcard b = random_cube(rng);
-    if (a.subset_of(b) && b.subset_of(a)) EXPECT_EQ(a, b);
+    if (a.subset_of(b) && b.subset_of(a)) {
+      EXPECT_EQ(a, b);
+    }
   }
 }
 

@@ -32,14 +32,6 @@ std::vector<sdn::HostId> ReachabilityResult::reached_hosts() const {
   return out;
 }
 
-std::vector<PortRef> ReachabilityResult::reached_ports() const {
-  std::vector<PortRef> out;
-  out.reserve(endpoints.size());
-  for (const auto& e : endpoints) out.push_back(e.egress);
-  sort_unique(out);
-  return out;
-}
-
 std::vector<SwitchId> ReachabilityResult::traversed_switches() const {
   std::vector<SwitchId> out;
   for (const auto& e : endpoints) {

@@ -61,8 +61,6 @@ struct ReachabilityResult {
 
   /// Unique hosts reachable (sorted).
   std::vector<sdn::HostId> reached_hosts() const;
-  /// Unique egress access points (sorted).
-  std::vector<sdn::PortRef> reached_ports() const;
   /// Union of all traversed switches (sorted).
   std::vector<sdn::SwitchId> traversed_switches() const;
 

@@ -180,9 +180,8 @@ struct WireServer::Connection {
 };
 
 struct WireServer::IoThread {
-  IoThread(std::size_t index, std::uint64_t seed) : index(index), rng(seed) {}
+  explicit IoThread(std::uint64_t seed) : rng(seed) {}
 
-  const std::size_t index;
   std::thread thread;
   Poller poller;
   Wakeup wakeup;
@@ -190,7 +189,7 @@ struct WireServer::IoThread {
 
   std::mutex mu;
   std::vector<Outbound> mailbox;
-  std::vector<int> adopt_fds;
+  std::vector<std::pair<int, std::uint64_t>> adopt_fds;  // (fd, conn id)
   bool stop = false;
 
   // Owned exclusively by this thread's loop:
@@ -243,7 +242,7 @@ void WireServer::start() {
 
   for (std::size_t i = 0; i < config_.io_threads; ++i) {
     io_threads_.push_back(
-        std::make_unique<IoThread>(i, seed_ ^ (0x10a4ull * (i + 1))));
+        std::make_unique<IoThread>(seed_ ^ (0x10a4ull * (i + 1))));
   }
   // The controller offers outbound deliveries from the service thread; the
   // attach itself must happen there too.
@@ -390,28 +389,25 @@ void WireServer::accept_ready(IoThread& t) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     ++stats_.connections_accepted;
     // Shard by connection id; hand the fd to the owning thread's loop.
-    const std::uint64_t id = next_conn_id_.fetch_add(1);
+    const std::uint64_t id = next_conn_id_++;
     IoThread& target = *io_threads_[id % io_threads_.size()];
     if (&target == &t) {
-      adopt(t, fd);
+      adopt(t, fd, id);
     } else {
       {
         std::lock_guard<std::mutex> lock(target.mu);
-        target.adopt_fds.push_back(fd);
+        target.adopt_fds.emplace_back(fd, id);
       }
       target.wakeup.notify();
     }
   }
 }
 
-void WireServer::adopt(IoThread& t, int fd) {
+void WireServer::adopt(IoThread& t, int fd, std::uint64_t id) {
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
-  // Outbound routing shards by id (conn % threads), so the id must land on
-  // this thread's shard.
-  const std::size_t n = io_threads_.size();
-  std::uint64_t id = next_conn_id_.fetch_add(1);
-  while (id % n != t.index) id = next_conn_id_.fetch_add(1);
+  // Outbound routing shards by id (id % threads): accept_ready picked this
+  // thread from the same id.
   conn->id = id;
   conn->decoder = FrameDecoder(config_.max_frame);
   t.fd_of[id] = fd;
@@ -421,13 +417,13 @@ void WireServer::adopt(IoThread& t, int fd) {
 
 void WireServer::process_mailbox(IoThread& t) {
   std::vector<Outbound> mail;
-  std::vector<int> adopts;
+  std::vector<std::pair<int, std::uint64_t>> adopts;
   {
     std::lock_guard<std::mutex> lock(t.mu);
     mail.swap(t.mailbox);
     adopts.swap(t.adopt_fds);
   }
-  for (const int fd : adopts) adopt(t, fd);
+  for (const auto& [fd, id] : adopts) adopt(t, fd, id);
   for (Outbound& out : mail) {
     const auto fd_it = t.fd_of.find(out.conn);
     if (fd_it == t.fd_of.end()) continue;  // connection died in the meantime

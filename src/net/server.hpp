@@ -106,7 +106,7 @@ class WireServer : public core::RvaasController::WireTransport {
 
   void io_run(IoThread& t, bool is_acceptor);
   void accept_ready(IoThread& t);
-  void adopt(IoThread& t, int fd);
+  void adopt(IoThread& t, int fd, std::uint64_t id);
   void process_mailbox(IoThread& t);
   void handle_read(IoThread& t, Connection& conn);
   void handle_frame(IoThread& t, Connection& conn,
@@ -129,7 +129,7 @@ class WireServer : public core::RvaasController::WireTransport {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   bool started_ = false;
-  std::atomic<std::uint64_t> next_conn_id_{1};
+  std::uint64_t next_conn_id_ = 1;  ///< drawn by the acceptor thread only
   std::vector<std::unique_ptr<IoThread>> io_threads_;
 
   /// WELCOME identity fields, fixed at construction (quote() signs once).

@@ -428,8 +428,8 @@ void RvaasController::admit_request(const QueryRequest& request,
     ++stats_.bad_requests;
     return;
   }
-  const auto client_it = clients_.find(request.client);
-  if (client_it == clients_.end()) {
+  if (!clients_.contains(request.client) ||
+      !can_evaluate(request.query.kind)) {
     ++stats_.bad_requests;
     return;
   }
@@ -517,7 +517,7 @@ void RvaasController::admit_subscribe(const SubscribeRequest& request,
   // A subscription the engine cannot evaluate must be rejected up front: a
   // stored Geo property without a geo provider would throw inside every
   // subsequent sweep (a persistent crash, not a one-shot bad request).
-  if (request.property.kind == QueryKind::Geo && geo_ == nullptr) {
+  if (!can_evaluate(request.property.kind)) {
     ++stats_.bad_requests;
     return;
   }

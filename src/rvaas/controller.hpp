@@ -206,7 +206,6 @@ class RvaasController : public sdn::Controller {
     std::uint64_t polls_sent = 0;
     std::uint64_t probes_sent = 0;
     std::uint64_t crypto_ops = 0;  ///< asymmetric operations (E9)
-    std::uint64_t reach_steps = 0; ///< HSA rule applications (E4/E7)
 
     // Push verification:
     std::uint64_t subscribes_received = 0;
@@ -291,6 +290,12 @@ class RvaasController : public sdn::Controller {
   void admit_request(const QueryRequest& request, sdn::PortRef request_point);
   void admit_subscribe(const SubscribeRequest& request,
                        sdn::PortRef request_point);
+  /// Whether the engine can evaluate `kind` here: a Geo property needs a
+  /// geo provider. Both admission paths count a kind it cannot evaluate as
+  /// a bad request, before it reaches the engine.
+  bool can_evaluate(QueryKind kind) const {
+    return kind != QueryKind::Geo || geo_ != nullptr;
+  }
   void admit_auth_reply(const inband::AuthReply& reply,
                         const crypto::Signature* signature,
                         sdn::PortRef from);

@@ -38,7 +38,6 @@ void ReachCache::test_fault_freeze_invalidation(bool on) {
 
 hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
                                             const SnapshotManager& snap) {
-  std::lock_guard lock(mu_);
   ++stats_.lookups;
 
   // TEST-ONLY fault: serve the last compiled model without refreshing.
@@ -84,32 +83,11 @@ hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
   return hsa::NetworkModel(topo, transfer_);
 }
 
-void CompiledModelCache::invalidate() {
-  std::lock_guard lock(mu_);
-  transfer_.reset();
-  snapshot_id_ = 0;
-  snapshot_epoch_ = 0;
-}
-
-CompiledModelCache::Stats CompiledModelCache::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
 std::size_t ReachCache::KeyHash::operator()(const Key& k) const noexcept {
-  std::uint64_t h = k.space_fingerprint;
+  std::uint64_t h = k.fingerprint;
   h = util::fnv1a_mix(h, std::hash<sdn::PortRef>{}(k.ingress));
   h = util::fnv1a_mix(h, k.max_depth);
   return static_cast<std::size_t>(h);
-}
-
-void ReachCache::clear_entries() {
-  for (Shard& shard : shards_) {
-    shard.buckets.clear();
-    shard.coverage = 0;
-    shard.entries = 0;
-  }
-  entry_count_ = 0;
 }
 
 void ReachCache::validate(const SnapshotManager& snap) {
@@ -118,7 +96,7 @@ void ReachCache::validate(const SnapshotManager& snap) {
   // cannot be patched by a dirty set.
   if (snap.instance_id() != snapshot_id_ || snap.epoch() < validated_epoch_) {
     if (snapshot_id_ != 0) ++stats_.full_clears;
-    clear_entries();
+    entries_.clear();
     snapshot_id_ = snap.instance_id();
     validated_epoch_ = snap.epoch();
     return;
@@ -134,38 +112,12 @@ void ReachCache::validate(const SnapshotManager& snap) {
 
   // Epoch advanced: drop exactly the entries whose traversal consulted a
   // switch that changed since they were computed. Everything else is still
-  // byte-identical to a recomputation and stays. The walk is sharded: a
-  // shard whose coverage mask is disjoint from the dirty partitions cannot
-  // hold a stale entry and is skipped whole; within a walked shard the
-  // per-entry mask skips the exact intersect for most survivors.
+  // byte-identical to a recomputation and stays.
   const std::vector<SwitchId> dirty = snap.dirty_since(validated_epoch_);
-  const std::uint32_t dirty_mask = footprint_shard_mask(dirty);
-  for (Shard& shard : shards_) {
-    if (shard.entries == 0) continue;
-    if ((shard.coverage & dirty_mask) == 0) {
-      ++stats_.shards_skipped;
-      continue;
-    }
-    ++stats_.shards_walked;
-    std::uint32_t coverage = 0;
-    for (auto it = shard.buckets.begin(); it != shard.buckets.end();) {
-      auto& bucket = it->second;
-      std::erase_if(bucket, [&](const Entry& e) {
-        const bool stale = (e.footprint_mask & dirty_mask) != 0 &&
-                           e.result->depends_on(dirty);
-        if (stale) {
-          ++stats_.entries_invalidated;
-          --shard.entries;
-          --entry_count_;
-        } else {
-          coverage |= e.footprint_mask;
-        }
-        return stale;
+  stats_.entries_invalidated +=
+      std::erase_if(entries_, [&](const auto& entry) {
+        return entry.second->depends_on(dirty);
       });
-      it = bucket.empty() ? shard.buckets.erase(it) : std::next(it);
-    }
-    shard.coverage = coverage;
-  }
   validated_epoch_ = snap.epoch();
 }
 
@@ -174,77 +126,31 @@ ReachCache::ResultPtr ReachCache::reach(const hsa::NetworkModel& model,
                                         sdn::PortRef ingress,
                                         const hsa::HeaderSpace& hs,
                                         std::size_t max_depth) {
-  std::unique_lock lock(mu_);
   ++stats_.lookups;
   validate(snap);
-  const std::uint64_t id_token = snapshot_id_;
-  const std::uint64_t epoch_token = validated_epoch_;
 
-  const Key key{ingress, hs.fingerprint(), max_depth};
-  Shard& shard = shards_[switch_shard(ingress.sw)];
-  if (const auto it = shard.buckets.find(key); it != shard.buckets.end()) {
-    for (const Entry& e : it->second) {
-      if (e.hs == hs) {
-        ++stats_.hits;
-        return e.result;
-      }
-    }
+  Key key{hs.fingerprint(), ingress, max_depth, hs};
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    ++stats_.hits;
+    return it->second;
   }
   ++stats_.misses;
+  auto result = std::make_shared<const hsa::ReachabilityResult>(
+      model.reach(ingress, hs, max_depth));
 
-  // Compute outside the lock so a traversal never blocks another thread's
-  // lookups; the model is immutable.
-  lock.unlock();
-  auto result =
-      std::make_shared<const hsa::ReachabilityResult>(
-          model.reach(ingress, hs, max_depth));
-  lock.lock();
-
-  // Only store a result that is still current: the snapshot may have churned
-  // (or been swapped) while we computed, and another thread may have raced
-  // us to the same key (first insert wins; the results are identical).
-  if (snapshot_id_ != id_token || validated_epoch_ != epoch_token) {
-    return result;
-  }
   // Capacity bound: clients choose the constraint spaces, so without a cap
   // distinct entries would accumulate forever on a stable snapshot. A flush
   // only costs future misses.
-  if (entry_count_ >= kMaxEntries) {
-    clear_entries();
+  if (entries_.size() >= kMaxEntries) {
+    entries_.clear();
     ++stats_.capacity_flushes;
   }
-  Shard& home = shards_[switch_shard(ingress.sw)];
-  auto& bucket = home.buckets[key];
-  for (const Entry& e : bucket) {
-    if (e.hs == hs) return e.result;
-  }
-  const std::uint32_t mask = footprint_shard_mask(result->footprint);
-  bucket.push_back(Entry{hs, result, mask});
-  home.coverage |= mask;
-  ++home.entries;
-  ++entry_count_;
+  entries_.emplace(std::move(key), result);
   return result;
 }
 
-void ReachCache::invalidate() {
-  std::lock_guard lock(mu_);
-  clear_entries();
-  snapshot_id_ = 0;
-  validated_epoch_ = 0;
-}
-
-std::size_t ReachCache::size() const {
-  std::lock_guard lock(mu_);
-  return entry_count_;
-}
-
-ReachCache::Stats ReachCache::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
 hsa::NetworkModel QueryEngine::model(const SnapshotManager& snap) const {
-  return cache_->model(*topo_, snap);
+  return model_cache_.model(*topo_, snap);
 }
 
 hsa::NetworkModel QueryEngine::model_uncached(
@@ -256,29 +162,46 @@ ReachCache::ResultPtr QueryEngine::reach(const hsa::NetworkModel& model,
                                          const SnapshotManager& snap,
                                          sdn::PortRef ingress,
                                          const hsa::HeaderSpace& hs) const {
-  return reach_cache_->reach(model, snap, ingress, hs, config_.max_depth);
-}
-
-ReachCache::ResultPtr QueryEngine::reach_tracked(
-    const hsa::NetworkModel& model, const SnapshotManager& snap,
-    PortRef ingress, const hsa::HeaderSpace& hs,
-    std::vector<SwitchId>* fp) const {
-  ReachCache::ResultPtr r = reach(model, snap, ingress, hs);
-  if (fp != nullptr) {
-    fp->insert(fp->end(), r->footprint.begin(), r->footprint.end());
-  }
-  return r;
+  return reach_cache_.reach(model, snap, ingress, hs, config_.max_depth);
 }
 
 hsa::HeaderSpace QueryEngine::constraint_space(const sdn::Match& constraint) {
   return hsa::HeaderSpace(hsa::match_to_cube(constraint));
 }
 
-ReachComputation QueryEngine::from_reach_result(
-    const hsa::ReachabilityResult& r, std::optional<PortRef> exclude) const {
-  ReachComputation out;
-  out.loops = r.loops.size();
+namespace {
 
+/// The traversals of one evaluation: each is served through the engine's
+/// L2 cache and appends its dependency footprint to `footprint` (unsorted;
+/// evaluate() canonicalizes).
+struct Traversals {
+  const QueryEngine& engine;
+  const hsa::NetworkModel& model;
+  const SnapshotManager& snap;
+  std::vector<SwitchId>& footprint;
+
+  ReachCache::ResultPtr reach(PortRef ingress,
+                              const hsa::HeaderSpace& hs) const {
+    ReachCache::ResultPtr r = engine.reach(model, snap, ingress, hs);
+    footprint.insert(footprint.end(), r->footprint.begin(),
+                     r->footprint.end());
+    return r;
+  }
+};
+
+/// Result of the logical step for endpoint-style queries: the endpoint
+/// skeleton plus which access points need in-band authentication.
+struct ReachComputation {
+  std::vector<EndpointInfo> endpoints;
+  /// Access points with hosts behind them, to be probed via auth requests.
+  std::vector<PortRef> to_authenticate;
+  /// Switch paths (internal; disclosed only under FullPaths).
+  std::vector<std::vector<SwitchId>> paths;
+};
+
+ReachComputation from_reach_result(const hsa::ReachabilityResult& r,
+                                   std::optional<PortRef> exclude) {
+  ReachComputation out;
   std::set<PortRef> seen;
   for (const auto& e : r.endpoints) {
     if (exclude && e.egress == *exclude) continue;
@@ -293,32 +216,19 @@ ReachComputation QueryEngine::from_reach_result(
   return out;
 }
 
-ReachComputation QueryEngine::reachable_endpoints(
-    const hsa::NetworkModel& model, const SnapshotManager& snap, PortRef from,
-    const hsa::HeaderSpace& hs, std::vector<SwitchId>* footprint) const {
-  const ReachCache::ResultPtr r =
-      reach_tracked(model, snap, from, hs, footprint);
-  return from_reach_result(*r, from);
-}
-
-ReachComputation QueryEngine::reaching_sources(
-    const hsa::NetworkModel& model, const SnapshotManager& snap,
-    PortRef target, const hsa::HeaderSpace& hs,
-    std::vector<SwitchId>* footprint) const {
+/// Which access points have installed routes reaching `target`?
+ReachComputation reaching_sources(const Traversals& t, PortRef target,
+                                  const hsa::HeaderSpace& hs) {
+  const sdn::Topology& topo = t.engine.topology();
   ReachComputation out;
-  for (const PortRef ap : topo_->all_access_points()) {
+  for (const PortRef ap : topo.all_access_points()) {
     if (ap == target) continue;
-    // Hold the ResultPtr: the cache may not retain a result computed during
-    // concurrent churn, and a reference into the temporary would dangle.
-    const ReachCache::ResultPtr rp =
-        reach_tracked(model, snap, ap, hs, footprint);
-    const hsa::ReachabilityResult& r = *rp;
-    out.loops += r.loops.size();
-    for (const auto& e : r.endpoints) {
+    const ReachCache::ResultPtr r = t.reach(ap, hs);
+    for (const auto& e : r->endpoints) {
       if (e.egress != target) continue;
       EndpointInfo info;
       info.access_point = ap;
-      info.dark = !topo_->host_at(ap).has_value();
+      info.dark = !topo.host_at(ap).has_value();
       out.endpoints.push_back(info);
       if (!info.dark) out.to_authenticate.push_back(ap);
       out.paths.push_back(e.path);
@@ -328,15 +238,13 @@ ReachComputation QueryEngine::reaching_sources(
   return out;
 }
 
-ReachComputation QueryEngine::isolation(const hsa::NetworkModel& model,
-                                        const SnapshotManager& snap,
-                                        PortRef request_point,
-                                        const hsa::HeaderSpace& hs,
-                                        std::vector<SwitchId>* footprint) const {
+/// Union of both directions (the §IV.B.1 isolation check); the forward
+/// direction excludes the requester's own access point.
+ReachComputation isolation(const Traversals& t, PortRef request_point,
+                           const hsa::HeaderSpace& hs) {
   ReachComputation forward =
-      reachable_endpoints(model, snap, request_point, hs, footprint);
-  const ReachComputation backward =
-      reaching_sources(model, snap, request_point, hs, footprint);
+      from_reach_result(*t.reach(request_point, hs), request_point);
+  const ReachComputation backward = reaching_sources(t, request_point, hs);
 
   std::set<PortRef> seen;
   for (const EndpointInfo& e : forward.endpoints) seen.insert(e.access_point);
@@ -347,7 +255,6 @@ ReachComputation QueryEngine::isolation(const hsa::NetworkModel& model,
   }
   forward.paths.insert(forward.paths.end(), backward.paths.begin(),
                        backward.paths.end());
-  forward.loops += backward.loops;
 
   // Deduplicate the auth list (an endpoint may appear in both directions).
   std::sort(forward.to_authenticate.begin(), forward.to_authenticate.end());
@@ -358,64 +265,61 @@ ReachComputation QueryEngine::isolation(const hsa::NetworkModel& model,
   return forward;
 }
 
-std::vector<std::string> QueryEngine::geo_jurisdictions(
-    const hsa::NetworkModel& model, const SnapshotManager& snap, PortRef from,
-    const hsa::HeaderSpace& hs, const GeoProvider& geo,
-    std::vector<SwitchId>* footprint) const {
-  const ReachCache::ResultPtr rp =
-      reach_tracked(model, snap, from, hs, footprint);
-  const hsa::ReachabilityResult& r = *rp;
+/// Jurisdictions any traffic in `hs` from `from` may cross.
+std::vector<std::string> geo_jurisdictions(const Traversals& t, PortRef from,
+                                           const hsa::HeaderSpace& hs,
+                                           const GeoProvider& geo) {
+  const ReachCache::ResultPtr r = t.reach(from, hs);
   std::vector<std::vector<SwitchId>> paths;
-  for (const auto& e : r.endpoints) paths.push_back(e.path);
-  for (const auto& c : r.controller_hits) paths.push_back(c.path);
-  for (const auto& l : r.loops) paths.push_back(l.path);
+  for (const auto& e : r->endpoints) paths.push_back(e.path);
+  for (const auto& c : r->controller_hits) paths.push_back(c.path);
+  for (const auto& l : r->loops) paths.push_back(l.path);
   return jurisdictions_of(paths, geo);
 }
 
-QueryEngine::PathLengthReport QueryEngine::path_length(
-    const hsa::NetworkModel& model, const SnapshotManager& snap, PortRef from,
-    PortRef peer_ap, std::uint32_t peer_ip,
-    std::vector<SwitchId>* footprint) const {
-  PathLengthReport report;
-
+/// Length of the installed route from `from` to the host at `peer_ap`
+/// (addressed `peer_ip`), against the topology optimum.
+void path_length(const Traversals& t, PortRef from, PortRef peer_ap,
+                 std::uint32_t peer_ip, QueryReply& reply) {
   hsa::Wildcard cube;
   cube.set_field(sdn::Field::IpDst, peer_ip);
-  const ReachCache::ResultPtr rp =
-      reach_tracked(model, snap, from, hsa::HeaderSpace(cube), footprint);
-  const hsa::ReachabilityResult& r = *rp;
+  const ReachCache::ResultPtr r = t.reach(from, hsa::HeaderSpace(cube));
 
   std::uint32_t best = ~std::uint32_t{0};
-  for (const auto& e : r.endpoints) {
+  for (const auto& e : r->endpoints) {
     if (e.egress != peer_ap) continue;
-    report.found = true;
+    reply.path_found = true;
     best = std::min(best, static_cast<std::uint32_t>(e.path.size()));
   }
-  if (report.found) report.installed = best;
+  if (reply.path_found) reply.installed_path_length = best;
 
   const auto optimal =
-      control::shortest_switch_path(*topo_, from.sw, peer_ap.sw);
-  if (optimal) report.optimal = static_cast<std::uint32_t>(optimal->size());
-  return report;
+      control::shortest_switch_path(t.engine.topology(), from.sw, peer_ap.sw);
+  if (optimal) {
+    reply.optimal_path_length = static_cast<std::uint32_t>(optimal->size());
+  }
 }
 
-std::vector<FairnessMetric> QueryEngine::fairness(
-    const hsa::NetworkModel& model, const SnapshotManager& snap, PortRef from,
-    const hsa::HeaderSpace& hs, std::vector<SwitchId>* footprint) const {
-  const ReachCache::ResultPtr rp =
-      reach_tracked(model, snap, from, hs, footprint);
-  const hsa::ReachabilityResult& r = *rp;
+/// Meter-based fairness metrics for traffic in `hs` from `from`:
+///   min-rate-bps       — tightest meter on any of the client's paths
+///                        (uint64 max if unmetered),
+///   metered-switches   — how many traversed switches meter this traffic,
+///   paths              — number of distinct egress spaces considered.
+std::vector<FairnessMetric> fairness(const Traversals& t, PortRef from,
+                                     const hsa::HeaderSpace& hs) {
+  const ReachCache::ResultPtr r = t.reach(from, hs);
 
   // Exact attribution: the reach result records which flow entries carried
   // each delivered subspace; collect the meters of exactly those rules
   // (point lookups — no full table_dump copy on the query path).
   std::uint64_t min_rate = ~std::uint64_t{0};
   std::set<SwitchId> metered_switches;
-  for (const auto& endpoint : r.endpoints) {
+  for (const auto& endpoint : r->endpoints) {
     for (const auto& [sw, entry_id] : endpoint.rules) {
-      const sdn::FlowEntry* entry = snap.find_entry(sw, entry_id);
-      const auto meters_it = snap.meters().find(sw);
+      const sdn::FlowEntry* entry = t.snap.find_entry(sw, entry_id);
+      const auto meters_it = t.snap.meters().find(sw);
       if (entry == nullptr || !entry->meter ||
-          meters_it == snap.meters().end()) {
+          meters_it == t.snap.meters().end()) {
         continue;
       }
       for (const auto& [meter_id, config] : meters_it->second) {
@@ -430,18 +334,17 @@ std::vector<FairnessMetric> QueryEngine::fairness(
   return {
       FairnessMetric{"min-rate-bps", min_rate},
       FairnessMetric{"metered-switches", metered_switches.size()},
-      FairnessMetric{"paths", static_cast<std::uint64_t>(r.endpoints.size())},
+      FairnessMetric{"paths", static_cast<std::uint64_t>(r->endpoints.size())},
   };
 }
 
-std::vector<TransferSummaryEntry> QueryEngine::transfer_summary(
-    const hsa::NetworkModel& model, const SnapshotManager& snap, PortRef from,
-    const hsa::HeaderSpace& hs, std::vector<SwitchId>* footprint) const {
-  const ReachCache::ResultPtr rp =
-      reach_tracked(model, snap, from, hs, footprint);
-  const hsa::ReachabilityResult& r = *rp;
+/// Compact representation of the client's transfer function: egress ports
+/// with the cube count of the traffic subspace reaching them.
+std::vector<TransferSummaryEntry> transfer_summary(
+    const Traversals& t, PortRef from, const hsa::HeaderSpace& hs) {
+  const ReachCache::ResultPtr r = t.reach(from, hs);
   std::map<PortRef, std::uint32_t> cubes;
-  for (const auto& e : r.endpoints) {
+  for (const auto& e : r->endpoints) {
     if (e.egress == from) continue;  // hairpin back to the requester
     cubes[e.egress] += static_cast<std::uint32_t>(e.space.cube_count());
   }
@@ -452,100 +355,8 @@ std::vector<TransferSummaryEntry> QueryEngine::transfer_summary(
   return out;
 }
 
-QueryEngine::Evaluation QueryEngine::evaluate(const hsa::NetworkModel& model,
-                                              const SnapshotManager& snap,
-                                              const Property& property,
-                                              const EvalContext& ctx) const {
-  Evaluation out;
-  out.reply.kind = property.kind;
-  const hsa::HeaderSpace hs = ctx.space_override != nullptr
-                                  ? *ctx.space_override
-                                  : constraint_space(property.constraint);
-  std::vector<SwitchId>* const fp = &out.footprint;
-
-  ReachComputation reach_comp;
-  bool has_endpoints = false;
-  switch (property.kind) {
-    case QueryKind::ReachableEndpoints:
-      // The primary traversal is kept on the Evaluation: the federation
-      // path needs its per-endpoint egress subspaces to cross peerings.
-      out.primary_reach = reach_tracked(model, snap, ctx.from, hs, fp);
-      reach_comp = from_reach_result(
-          *out.primary_reach, ctx.exclude_requester
-                                  ? std::optional<PortRef>(ctx.from)
-                                  : std::nullopt);
-      has_endpoints = true;
-      break;
-    case QueryKind::ReachingSources:
-      reach_comp = reaching_sources(model, snap, ctx.from, hs, fp);
-      has_endpoints = true;
-      break;
-    case QueryKind::Isolation:
-      reach_comp = isolation(model, snap, ctx.from, hs, fp);
-      has_endpoints = true;
-      break;
-    case QueryKind::Geo:
-      util::ensure(ctx.geo != nullptr, "geo query without a geo provider");
-      out.reply.jurisdictions =
-          geo_jurisdictions(model, snap, ctx.from, hs, *ctx.geo, fp);
-      break;
-    case QueryKind::PathLength: {
-      if (property.peer && ctx.addressing != nullptr) {
-        const auto peer_ports = topo_->host_ports(*property.peer);
-        if (!peer_ports.empty()) {
-          const PathLengthReport report =
-              path_length(model, snap, ctx.from, peer_ports.front(),
-                          ctx.addressing->of(*property.peer).ip, fp);
-          out.reply.path_found = report.found;
-          out.reply.installed_path_length = report.installed;
-          out.reply.optimal_path_length = report.optimal;
-        }
-      }
-      break;
-    }
-    case QueryKind::Fairness:
-      out.reply.fairness = fairness(model, snap, ctx.from, hs, fp);
-      break;
-    case QueryKind::TransferSummary:
-      out.reply.transfer_summary =
-          transfer_summary(model, snap, ctx.from, hs, fp);
-      break;
-    case QueryKind::PolicyCompliance:
-      // The cross-domain walk lives in the federation layer; the dependency
-      // footprint is left empty because the crossings depend on OTHER
-      // domains' snapshots, which this engine's change clock cannot see.
-      if (ctx.policy != nullptr) {
-        out.reply.policy_report = ctx.policy->walk(ctx.from, hs);
-      }
-      break;
-  }
-
-  if (has_endpoints) {
-    out.reply.endpoints = std::move(reach_comp.endpoints);
-    if (config_.policy == ConfidentialityPolicy::FullPaths) {
-      out.reply.disclosed_paths = render_paths(reach_comp.paths);
-    }
-    for (const PortRef ap : reach_comp.to_authenticate) {
-      // Never probe the requester's own access point.
-      if (ctx.exclude_requester && ap == ctx.from) continue;
-      out.to_authenticate.push_back(ap);
-    }
-  }
-
-  // Canonicalize the union footprint (helpers append per-traversal sets).
-  std::sort(out.footprint.begin(), out.footprint.end());
-  out.footprint.erase(std::unique(out.footprint.begin(), out.footprint.end()),
-                      out.footprint.end());
-  return out;
-}
-
-QueryEngine::Evaluation QueryEngine::evaluate(const SnapshotManager& snap,
-                                              const Property& property,
-                                              const EvalContext& ctx) const {
-  return evaluate(model(snap), snap, property, ctx);
-}
-
-std::vector<std::string> QueryEngine::render_paths(
+/// Renders paths for FullPaths mode (E5 leakage strawman), deduplicated.
+std::vector<std::string> render_paths(
     const std::vector<std::vector<SwitchId>>& paths) {
   std::set<std::string> unique;
   for (const auto& path : paths) {
@@ -557,6 +368,90 @@ std::vector<std::string> QueryEngine::render_paths(
     unique.insert(os.str());
   }
   return {unique.begin(), unique.end()};
+}
+
+}  // namespace
+
+QueryEngine::Evaluation QueryEngine::evaluate(const hsa::NetworkModel& model,
+                                              const SnapshotManager& snap,
+                                              const Property& property,
+                                              const EvalContext& ctx) const {
+  Evaluation out;
+  out.reply.kind = property.kind;
+  const hsa::HeaderSpace hs = ctx.space_override != nullptr
+                                  ? *ctx.space_override
+                                  : constraint_space(property.constraint);
+  const Traversals t{*this, model, snap, out.footprint};
+
+  std::optional<ReachComputation> reach_comp;  // endpoint-style kinds only
+  switch (property.kind) {
+    case QueryKind::ReachableEndpoints:
+      // The primary traversal is kept on the Evaluation: the federation
+      // path needs its per-endpoint egress subspaces to cross peerings.
+      out.primary_reach = t.reach(ctx.from, hs);
+      reach_comp = from_reach_result(
+          *out.primary_reach, ctx.exclude_requester
+                                  ? std::optional<PortRef>(ctx.from)
+                                  : std::nullopt);
+      break;
+    case QueryKind::ReachingSources:
+      reach_comp = reaching_sources(t, ctx.from, hs);
+      break;
+    case QueryKind::Isolation:
+      reach_comp = isolation(t, ctx.from, hs);
+      break;
+    case QueryKind::Geo:
+      util::ensure(ctx.geo != nullptr, "geo query without a geo provider");
+      out.reply.jurisdictions = geo_jurisdictions(t, ctx.from, hs, *ctx.geo);
+      break;
+    case QueryKind::PathLength:
+      if (property.peer && ctx.addressing != nullptr) {
+        const auto peer_ports = topo_->host_ports(*property.peer);
+        if (!peer_ports.empty()) {
+          path_length(t, ctx.from, peer_ports.front(),
+                      ctx.addressing->of(*property.peer).ip, out.reply);
+        }
+      }
+      break;
+    case QueryKind::Fairness:
+      out.reply.fairness = fairness(t, ctx.from, hs);
+      break;
+    case QueryKind::TransferSummary:
+      out.reply.transfer_summary = transfer_summary(t, ctx.from, hs);
+      break;
+    case QueryKind::PolicyCompliance:
+      // The cross-domain walk lives in the federation layer; the dependency
+      // footprint is left empty because the crossings depend on OTHER
+      // domains' snapshots, which this engine's change clock cannot see.
+      if (ctx.policy != nullptr) {
+        out.reply.policy_report = ctx.policy->walk(ctx.from, hs);
+      }
+      break;
+  }
+
+  if (reach_comp) {
+    out.reply.endpoints = std::move(reach_comp->endpoints);
+    if (config_.policy == ConfidentialityPolicy::FullPaths) {
+      out.reply.disclosed_paths = render_paths(reach_comp->paths);
+    }
+    for (const PortRef ap : reach_comp->to_authenticate) {
+      // Never probe the requester's own access point.
+      if (ctx.exclude_requester && ap == ctx.from) continue;
+      out.to_authenticate.push_back(ap);
+    }
+  }
+
+  // Canonicalize the union footprint (each traversal appended its own).
+  std::sort(out.footprint.begin(), out.footprint.end());
+  out.footprint.erase(std::unique(out.footprint.begin(), out.footprint.end()),
+                      out.footprint.end());
+  return out;
+}
+
+QueryEngine::Evaluation QueryEngine::evaluate(const SnapshotManager& snap,
+                                              const Property& property,
+                                              const EvalContext& ctx) const {
+  return evaluate(model(snap), snap, property, ctx);
 }
 
 }  // namespace rvaas::core

@@ -81,11 +81,6 @@ class SnapshotManager {
   /// Epoch at which `sw`'s table content last changed (0 = never changed).
   std::uint64_t table_epoch(sdn::SwitchId sw) const;
 
-  /// The per-switch change clocks backing the dirty set.
-  const std::map<sdn::SwitchId, std::uint64_t>& table_epochs() const {
-    return table_epochs_;
-  }
-
   /// The dirty set relative to `since`: switches whose table content changed
   /// after epoch `since` — exactly what a consumer that compiled at epoch
   /// `since` must recompile. Sorted ascending.
@@ -135,9 +130,6 @@ class SnapshotManager {
   sim::Time last_confirmed(sdn::SwitchId sw) const {
     const auto it = last_confirmed_.find(sw);
     return it == last_confirmed_.end() ? 0 : it->second;
-  }
-  const std::map<sdn::SwitchId, sim::Time>& last_confirmed_times() const {
-    return last_confirmed_;
   }
 
   std::uint64_t events_applied() const { return events_applied_; }

@@ -1,5 +1,5 @@
-// QueryEngine: reach computations, per-client evaluation, confidentiality
-// redaction, geo providers, path length, fairness metrics, transfer summary.
+// QueryEngine::evaluate: every query kind's answer, per-client evaluation,
+// confidentiality redaction, plus the geo providers.
 
 #include <gtest/gtest.h>
 
@@ -70,46 +70,59 @@ struct EngineFixture {
   }
 };
 
+// h10's access point: every evaluation below asks from here unless noted.
+const PortRef kH10Ap{SwitchId(1), PortNo(1)};
+
+Property of_kind(QueryKind kind) {
+  Property property;
+  property.kind = kind;
+  return property;
+}
+
+QueryEngine::EvalContext from(PortRef ap) {
+  QueryEngine::EvalContext ctx;
+  ctx.from = ap;
+  return ctx;
+}
+
 TEST(Engine, ReachableEndpointsBasic) {
   EngineFixture f;
   f.install_line_routing();
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto reach = engine.reachable_endpoints(
-      model, f.snap, {SwitchId(1), PortNo(1)}, hsa::HeaderSpace::all());
+  const QueryEngine engine = f.engine();
+  const auto ev = engine.evaluate(
+      f.snap, of_kind(QueryKind::ReachableEndpoints), from(kH10Ap));
 
-  ASSERT_EQ(reach.endpoints.size(), 1u);
-  EXPECT_EQ(reach.endpoints[0].access_point,
+  ASSERT_EQ(ev.reply.endpoints.size(), 1u);
+  EXPECT_EQ(ev.reply.endpoints[0].access_point,
             (PortRef{SwitchId(3), PortNo(1)}));
-  EXPECT_FALSE(reach.endpoints[0].dark);
-  EXPECT_EQ(reach.to_authenticate,
+  EXPECT_FALSE(ev.reply.endpoints[0].dark);
+  EXPECT_EQ(ev.to_authenticate,
             (std::vector<PortRef>{{SwitchId(3), PortNo(1)}}));
-  EXPECT_EQ(reach.loops, 0u);
+  ASSERT_NE(ev.primary_reach, nullptr);
+  EXPECT_TRUE(ev.primary_reach->loops.empty());
 }
 
 TEST(Engine, DarkEndpointMarked) {
   EngineFixture f;
   f.add_rule(SwitchId(1), 5, Match().in_port(PortNo(1)),
              {sdn::output(PortNo(2))});  // s1:p2 is dark
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto reach = engine.reachable_endpoints(
-      model, f.snap, {SwitchId(1), PortNo(1)}, hsa::HeaderSpace::all());
-  ASSERT_EQ(reach.endpoints.size(), 1u);
-  EXPECT_TRUE(reach.endpoints[0].dark);
-  EXPECT_TRUE(reach.to_authenticate.empty());  // nobody to probe
+  const QueryEngine engine = f.engine();
+  const auto ev = engine.evaluate(
+      f.snap, of_kind(QueryKind::ReachableEndpoints), from(kH10Ap));
+  ASSERT_EQ(ev.reply.endpoints.size(), 1u);
+  EXPECT_TRUE(ev.reply.endpoints[0].dark);
+  EXPECT_TRUE(ev.to_authenticate.empty());  // nobody to probe
 }
 
 TEST(Engine, ReachingSourcesFindsSenders) {
   EngineFixture f;
   f.install_line_routing();
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto sources = engine.reaching_sources(
-      model, f.snap, {SwitchId(3), PortNo(1)}, hsa::HeaderSpace::all());
-  ASSERT_EQ(sources.endpoints.size(), 1u);
-  EXPECT_EQ(sources.endpoints[0].access_point,
-            (PortRef{SwitchId(1), PortNo(1)}));
+  const QueryEngine engine = f.engine();
+  const auto ev =
+      engine.evaluate(f.snap, of_kind(QueryKind::ReachingSources),
+                      from(PortRef{SwitchId(3), PortNo(1)}));
+  ASSERT_EQ(ev.reply.endpoints.size(), 1u);
+  EXPECT_EQ(ev.reply.endpoints[0].access_point, kH10Ap);
 }
 
 TEST(Engine, IsolationUnionsBothDirections) {
@@ -118,44 +131,46 @@ TEST(Engine, IsolationUnionsBothDirections) {
   // Extra one-way path h12 -> h10 (h12 can reach h10 but not vice versa).
   f.add_rule(SwitchId(2), 6, Match().in_port(PortNo(2)),
              {sdn::output(PortNo(0))});
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto iso = engine.isolation(model, f.snap, {SwitchId(1), PortNo(1)},
-                                    hsa::HeaderSpace::all());
+  const QueryEngine engine = f.engine();
+  const auto ev =
+      engine.evaluate(f.snap, of_kind(QueryKind::Isolation), from(kH10Ap));
   // Endpoints: h11's AP (forward) + h12's AP (backward source).
-  ASSERT_EQ(iso.endpoints.size(), 2u);
+  ASSERT_EQ(ev.reply.endpoints.size(), 2u);
   std::set<PortRef> got;
-  for (const auto& e : iso.endpoints) got.insert(e.access_point);
+  for (const auto& e : ev.reply.endpoints) got.insert(e.access_point);
   EXPECT_TRUE(got.contains(PortRef{SwitchId(3), PortNo(1)}));
   EXPECT_TRUE(got.contains(PortRef{SwitchId(2), PortNo(2)}));
   // No duplicates in the auth list.
-  EXPECT_EQ(iso.to_authenticate.size(), 2u);
+  EXPECT_EQ(ev.to_authenticate.size(), 2u);
 }
 
 TEST(Engine, GeoJurisdictionsAlongPath) {
   EngineFixture f;
   f.install_line_routing();
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
+  const QueryEngine engine = f.engine();
   const DisclosedGeo geo(f.topo);
-  const auto jurisdictions = engine.geo_jurisdictions(
-      model, f.snap, {SwitchId(1), PortNo(1)}, hsa::HeaderSpace::all(), geo);
-  EXPECT_EQ(jurisdictions, (std::vector<std::string>{"DE", "FR", "US"}));
+  QueryEngine::EvalContext ctx = from(kH10Ap);
+  ctx.geo = &geo;
+  const auto ev = engine.evaluate(f.snap, of_kind(QueryKind::Geo), ctx);
+  EXPECT_EQ(ev.reply.jurisdictions,
+            (std::vector<std::string>{"DE", "FR", "US"}));
 }
 
 TEST(Engine, PathLengthOptimalAndDetour) {
   EngineFixture f;
   f.install_line_routing();
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto report = engine.path_length(model, f.snap,
-                                         {SwitchId(1), PortNo(1)},
-                                         {SwitchId(3), PortNo(1)},
-                                         /*peer_ip=*/0);
-  // ip 0 is matched by the wildcard line rules.
-  EXPECT_TRUE(report.found);
-  EXPECT_EQ(report.installed, 3u);
-  EXPECT_EQ(report.optimal, 3u);
+  const QueryEngine engine = f.engine();
+  control::HostAddressing addressing;
+  addressing.assign(HostId(11));
+  Property property = of_kind(QueryKind::PathLength);
+  property.peer = HostId(11);
+  QueryEngine::EvalContext ctx = from(kH10Ap);
+  ctx.addressing = &addressing;
+  const auto ev = engine.evaluate(f.snap, property, ctx);
+  // h11's address is matched by the wildcard line rules.
+  EXPECT_TRUE(ev.reply.path_found);
+  EXPECT_EQ(ev.reply.installed_path_length, 3u);
+  EXPECT_EQ(ev.reply.optimal_path_length, 3u);
 }
 
 TEST(Engine, FairnessReportsMeters) {
@@ -175,10 +190,10 @@ TEST(Engine, FairnessReportsMeters) {
   f.add_rule(SwitchId(2), 5, Match().in_port(PortNo(0)),
              {sdn::output(PortNo(1))}, sdn::MeterId(7));
 
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto metrics = engine.fairness(model, f.snap, {SwitchId(1), PortNo(1)},
-                                       hsa::HeaderSpace::all());
+  const QueryEngine engine = f.engine();
+  const auto metrics =
+      engine.evaluate(f.snap, of_kind(QueryKind::Fairness), from(kH10Ap))
+          .reply.fairness;
   ASSERT_EQ(metrics.size(), 3u);
   EXPECT_EQ(metrics[0].name, "min-rate-bps");
   EXPECT_EQ(metrics[0].value, 5'000'000u);
@@ -189,10 +204,11 @@ TEST(Engine, FairnessReportsMeters) {
 TEST(Engine, FairnessUnmeteredIsMax) {
   EngineFixture f;
   f.install_line_routing();
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto metrics = engine.fairness(model, f.snap, {SwitchId(1), PortNo(1)},
-                                       hsa::HeaderSpace::all());
+  const QueryEngine engine = f.engine();
+  const auto metrics =
+      engine.evaluate(f.snap, of_kind(QueryKind::Fairness), from(kH10Ap))
+          .reply.fairness;
+  ASSERT_EQ(metrics.size(), 3u);
   EXPECT_EQ(metrics[0].value, ~std::uint64_t{0});
 }
 
@@ -207,10 +223,11 @@ TEST(Engine, TransferSummaryCountsCubes) {
   f.add_rule(SwitchId(2), 5, Match().in_port(PortNo(0)),
              {sdn::output(PortNo(2))});
 
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
-  const auto summary = engine.transfer_summary(
-      model, f.snap, {SwitchId(1), PortNo(1)}, hsa::HeaderSpace::all());
+  const QueryEngine engine = f.engine();
+  const auto summary =
+      engine
+          .evaluate(f.snap, of_kind(QueryKind::TransferSummary), from(kH10Ap))
+          .reply.transfer_summary;
   ASSERT_EQ(summary.size(), 2u);
   for (const auto& entry : summary) EXPECT_GE(entry.cube_count, 1u);
 }
@@ -221,15 +238,13 @@ TEST(Engine, ConstraintSpaceRestrictsQueries) {
              Match().in_port(PortNo(1)).exact(Field::IpProto, sdn::kIpProtoTcp),
              {sdn::output(PortNo(0))});
   f.add_rule(SwitchId(2), 5, Match(), {sdn::output(PortNo(2))});
-  QueryEngine engine = f.engine();
-  const auto model = engine.model(f.snap);
+  const QueryEngine engine = f.engine();
 
   // Constrained to UDP: the TCP-only rule cannot carry it anywhere.
-  const auto hs = QueryEngine::constraint_space(
-      Match().exact(Field::IpProto, sdn::kIpProtoUdp));
-  const auto reach =
-      engine.reachable_endpoints(model, f.snap, {SwitchId(1), PortNo(1)}, hs);
-  EXPECT_TRUE(reach.endpoints.empty());
+  Property property = of_kind(QueryKind::ReachableEndpoints);
+  property.constraint = Match().exact(Field::IpProto, sdn::kIpProtoUdp);
+  const auto ev = engine.evaluate(f.snap, property, from(kH10Ap));
+  EXPECT_TRUE(ev.reply.endpoints.empty());
 }
 
 TEST(Engine, DifferentClientsGetDifferentAnswers) {
@@ -241,11 +256,11 @@ TEST(Engine, DifferentClientsGetDifferentAnswers) {
   const sdn::Topology& topo = runtime.network().topology();
   const QueryEngine engine(topo, EngineConfig{});
   const auto ask = [&](HostId client) {
-    QueryEngine::EvalContext ctx;
-    ctx.from = topo.host_ports(client).front();
-    Property property;
-    property.kind = QueryKind::ReachableEndpoints;
-    return engine.evaluate(runtime.rvaas().snapshot(), property, ctx).reply;
+    return engine
+        .evaluate(runtime.rvaas().snapshot(),
+                  of_kind(QueryKind::ReachableEndpoints),
+                  from(topo.host_ports(client).front()))
+        .reply;
   };
 
   // Tenants are assigned round-robin, so host 0 and host 1 live in different
@@ -257,10 +272,20 @@ TEST(Engine, DifferentClientsGetDifferentAnswers) {
 }
 
 TEST(Engine, RenderPathsDeduplicates) {
-  const auto rendered = QueryEngine::render_paths(
-      {{SwitchId(1), SwitchId(2)}, {SwitchId(1), SwitchId(2)}, {SwitchId(3)}});
-  EXPECT_EQ(rendered.size(), 2u);
-  EXPECT_EQ(rendered[0], "s1->s2");
+  EngineFixture f;
+  f.install_line_routing();
+  // TCP takes its own rule at s1 but the same switch path as the rest.
+  f.add_rule(SwitchId(1), 9,
+             Match().in_port(PortNo(1)).exact(Field::IpProto, sdn::kIpProtoTcp),
+             {sdn::output(PortNo(0))});
+  const QueryEngine engine = f.engine(ConfidentialityPolicy::FullPaths);
+  const auto ev = engine.evaluate(
+      f.snap, of_kind(QueryKind::ReachableEndpoints), from(kH10Ap));
+  // Two delivered subspaces (TCP and the rest), one rendered path.
+  ASSERT_NE(ev.primary_reach, nullptr);
+  EXPECT_EQ(ev.primary_reach->endpoints.size(), 2u);
+  EXPECT_EQ(ev.reply.disclosed_paths,
+            (std::vector<std::string>{"s1->s2->s3"}));
 }
 
 // --- geo providers ---

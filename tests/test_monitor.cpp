@@ -458,6 +458,36 @@ TEST(Monitor, GeoSubscriptionRejectedWithoutGeoProvider) {
   runtime.settle(20 * sim::kMillisecond);
 }
 
+TEST(Monitor, GeoQueryRejectedWithoutGeoProvider) {
+  // The one-shot path shares the subscribe path's admission check: a Geo
+  // query the controller cannot evaluate is a bad request that gets no
+  // answer (the client times out), not an exception out of the controller.
+  ScenarioConfig config;
+  config.generated = linear(3);
+  config.seed = 15;
+  config.with_geo = false;
+  ScenarioRuntime runtime(std::move(config));
+  const auto& hosts = runtime.hosts();
+
+  Query geo;
+  geo.kind = QueryKind::Geo;
+  std::optional<ClientAgent::Outcome> outcome;
+  const auto bad_before = runtime.rvaas().stats().bad_requests;
+  runtime.client(hosts[0]).send_query(
+      geo, [&outcome](const ClientAgent::Outcome& o) { outcome = o; });
+  EXPECT_NO_THROW(runtime.settle(60 * sim::kMillisecond));
+  EXPECT_EQ(runtime.rvaas().stats().bad_requests, bad_before + 1);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->timed_out);
+
+  // The controller keeps answering what it can evaluate.
+  Query reach;
+  reach.kind = QueryKind::ReachableEndpoints;
+  const auto answered = runtime.query_and_wait(hosts[0], reach);
+  EXPECT_FALSE(answered.timed_out);
+  EXPECT_TRUE(answered.signature_ok);
+}
+
 TEST(Monitor, ForgedSubscribeRejected) {
   // (Un)subscribe mutates controller state, so unlike a query it must be
   // signed by the enrolled client key: the provider (or any tenant) can

@@ -307,5 +307,28 @@ TEST(ReachCache, SnapshotIdentityChangeClearsEverything) {
   EXPECT_EQ(s.full_clears, 1u);
 }
 
+TEST(ReachCache, CapacityOverflowFlushesTheTier) {
+  IslandFixture f;
+  QueryEngine engine(f.topo, EngineConfig{});
+  const hsa::NetworkModel model = engine.model(f.snap);
+  const PortRef ap{SwitchId(1), PortNo(1)};
+  const auto space = [](std::uint32_t ip) {
+    return QueryEngine::constraint_space(Match().exact(Field::IpDst, ip));
+  };
+
+  // One distinct space more than the tier holds: the last insert flushes.
+  for (std::uint32_t ip = 0; ip <= ReachCache::kMaxEntries; ++ip) {
+    (void)engine.reach(model, f.snap, ap, space(ip));
+  }
+  EXPECT_EQ(engine.reach_stats().misses, ReachCache::kMaxEntries + 1);
+  EXPECT_EQ(engine.reach_stats().capacity_flushes, 1u);
+
+  // The first space went with the flush: it is recomputed, and the
+  // recomputation equals a cold traversal.
+  const auto again = engine.reach(model, f.snap, ap, space(0));
+  EXPECT_EQ(engine.reach_stats().misses, ReachCache::kMaxEntries + 2);
+  EXPECT_EQ(*again, engine.model_uncached(f.snap).reach(ap, space(0)));
+}
+
 }  // namespace
 }  // namespace rvaas::core

@@ -295,52 +295,20 @@ BigUInt BigUInt::modadd(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
 BigUInt BigUInt::modpow(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& m) {
   util::ensure(m > BigUInt(1), "modpow modulus must be > 1");
-  BigUInt result(1);
-  BigUInt acc = base.mod(m);
-  const std::size_t bits = exp.bit_length();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (exp.bit(i)) result = modmul(result, acc, m);
-    if (i + 1 < bits) acc = modmul(acc, acc, m);
+  std::size_t digit = (exp.bit_length() + 3) / 4;
+  if (digit == 0) return BigUInt(1);
+  BigUInt powers[16];  // powers[d] = base^d mod m for d >= 1
+  powers[1] = base.mod(m);
+  for (int d = 2; d < 16; ++d) powers[d] = modmul(powers[d - 1], powers[1], m);
+  // The top digit is non-zero, so the result starts at its power.
+  BigUInt result = powers[exp.nibble(--digit)];
+  while (digit-- > 0) {
+    for (int s = 0; s < 4; ++s) result = modmul(result, result, m);
+    if (const unsigned d = exp.nibble(digit)) {
+      result = modmul(result, powers[d], m);
+    }
   }
   return result;
-}
-
-bool BigUInt::is_probable_prime(const BigUInt& n, util::Rng& rng, int rounds) {
-  static const std::uint32_t kSmallPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19,
-                                               23, 29, 31, 37, 41, 43, 47};
-  if (n < BigUInt(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    const BigUInt bp(p);
-    if (n == bp) return true;
-    if (n.mod(bp).is_zero()) return false;
-  }
-
-  // n - 1 = d * 2^r with d odd.
-  const BigUInt n_minus_1 = n.sub(BigUInt(1));
-  BigUInt d = n_minus_1;
-  std::size_t r = 0;
-  while (!d.is_odd()) {
-    d = d.shift_right(1);
-    ++r;
-  }
-
-  const BigUInt two(2);
-  const BigUInt n_minus_3 = n.sub(BigUInt(3));
-  for (int round = 0; round < rounds; ++round) {
-    const BigUInt a = random_below(rng, n_minus_3).add(two);  // [2, n-2]
-    BigUInt x = modpow(a, d, n);
-    if (x == BigUInt(1) || x == n_minus_1) continue;
-    bool witness = true;
-    for (std::size_t i = 0; i + 1 < r; ++i) {
-      x = modmul(x, x, n);
-      if (x == n_minus_1) {
-        witness = false;
-        break;
-      }
-    }
-    if (witness) return false;
-  }
-  return true;
 }
 
 std::string BigUInt::to_hex() const {

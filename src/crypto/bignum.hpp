@@ -2,8 +2,9 @@
 // Minimal arbitrary-precision unsigned integer arithmetic, sufficient for
 // Schnorr signatures and Diffie-Hellman key encapsulation over a 256-bit
 // safe-prime group. Little-endian 32-bit limbs; schoolbook multiplication;
-// Knuth Algorithm D division. Not constant-time (simulation-grade crypto;
-// see DESIGN.md §2).
+// Knuth Algorithm D division; left-to-right 4-bit fixed-window modpow. Not
+// constant-time: the window's table lookups and skipped zero digits depend
+// on the exponent (simulation-grade crypto, like the group in group.hpp).
 
 #include <cstdint>
 #include <span>
@@ -36,6 +37,11 @@ class BigUInt {
   bool is_odd() const { return !limbs_.empty() && (limbs_[0] & 1); }
   std::size_t bit_length() const;
   bool bit(std::size_t i) const;
+  /// 4-bit digit i, i.e. bits 4i..4i+3 (0 past the top).
+  unsigned nibble(std::size_t i) const {
+    const std::size_t limb = i / 8;
+    return limb < limbs_.size() ? (limbs_[limb] >> (4 * (i % 8))) & 0xf : 0;
+  }
 
   /// Three-way compare: -1, 0, +1.
   int compare(const BigUInt& other) const;
@@ -61,13 +67,10 @@ class BigUInt {
   static BigUInt modmul(const BigUInt& a, const BigUInt& b, const BigUInt& m);
   /// (a + b) mod m, assuming a, b < m.
   static BigUInt modadd(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-  /// (base ^ exp) mod m; m must be > 1.
+  /// (base ^ exp) mod m; m must be > 1. Per 4-bit digit of exp: four
+  /// squarings and at most one multiply by a precomputed base^1..base^15.
   static BigUInt modpow(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& m);
-
-  /// Miller-Rabin with `rounds` random bases (deterministic given rng seed).
-  static bool is_probable_prime(const BigUInt& n, util::Rng& rng,
-                                int rounds = 32);
 
   std::string to_hex() const;
   /// Big-endian export, left-padded with zeros to `len` bytes (throws if the

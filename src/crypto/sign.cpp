@@ -48,7 +48,7 @@ bool VerifyKey::verify(std::span<const std::uint8_t> message,
   const Group& grp = default_group();
   if (y_.is_zero() || sig.e >= grp.q || sig.s >= grp.q) return false;
   // r' = g^s * y^(-e) = g^s * y^(q - e)   (y has order q)
-  const BigUInt gs = BigUInt::modpow(grp.g, sig.s, grp.p);
+  const BigUInt gs = grp.exp(sig.s);
   const BigUInt ye = BigUInt::modpow(y_, grp.q.sub(sig.e), grp.p);
   const BigUInt r = BigUInt::modmul(gs, ye, grp.p);
   const BigUInt e2 =

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/drbg.hpp"
 #include "crypto/group.hpp"
 #include "crypto/hmac.hpp"
@@ -156,6 +158,48 @@ TEST(Group, NonResidueRejected) {
   // order-q subgroup.
   const Group& g = default_group();
   EXPECT_FALSE(g.is_element(g.p.sub(BigUInt(1))));
+}
+
+TEST(Group, ExpMatchesModpow) {
+  const Group& g = default_group();
+  const BigUInt two_256 = BigUInt(1).shift_left(256);
+  std::vector<BigUInt> xs = {BigUInt(0),  BigUInt(1),
+                             BigUInt(15), BigUInt(16),
+                             BigUInt(17), BigUInt(1).shift_left(255),
+                             g.q.sub(BigUInt(1)), two_256.sub(BigUInt(1))};
+  util::Rng rng(400);
+  for (int i = 0; i < 200; ++i) {
+    xs.push_back(BigUInt::random_below(rng, two_256));
+  }
+  for (const BigUInt& x : xs) {
+    EXPECT_EQ(g.exp(x), BigUInt::modpow(g.g, x, g.p)) << "x=" << x.to_hex();
+  }
+  EXPECT_THROW(g.exp(two_256), util::InvariantViolation);
+}
+
+TEST(Group, IsElementMatchesEulerCriterion) {
+  const Group& g = default_group();
+  const auto euler = [&g](const BigUInt& e) {
+    return !e.is_zero() && e < g.p &&
+           BigUInt::modpow(e, g.q, g.p) == BigUInt(1);
+  };
+  std::vector<BigUInt> es = {BigUInt(0), BigUInt(1), BigUInt(2),
+                             BigUInt(4), g.g,        g.p.sub(BigUInt(1)),
+                             g.p,        g.p.add(BigUInt(1))};
+  util::Rng rng(401);
+  const BigUInt two_p = g.p.add(g.p);
+  for (int i = 0; i < 200; ++i) {
+    es.push_back(BigUInt::random_below(rng, two_p));
+  }
+  int accepted = 0;
+  for (const BigUInt& e : es) {
+    const bool expected = euler(e);
+    EXPECT_EQ(g.is_element(e), expected) << "e=" << e.to_hex();
+    accepted += expected;
+  }
+  // Both answers occur: about half of [1, p) are quadratic residues.
+  EXPECT_GT(accepted, 20);
+  EXPECT_LT(accepted, static_cast<int>(es.size()) - 20);
 }
 
 // --- Signatures ---
@@ -339,6 +383,43 @@ TEST(HmacSha256, Rfc4231Case7LongKeyLongData) {
       "HMAC algorithm.");
   EXPECT_EQ(to_hex(hmac_sha256(key, msg)),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+// --- Known answers for keys, signatures and sealed boxes ---
+// Produced by plain square-and-multiply exponentiation with the e^q subgroup
+// check; the comb, the windowed modpow and the Jacobi check must reproduce
+// every byte.
+
+TEST(Schnorr, KnownAnswerKeyAndSignature) {
+  util::Rng rng(700);
+  const SigningKey sk = SigningKey::generate(rng);
+  EXPECT_EQ(to_hex(sk.verify_key().serialize()),
+            "200000003fe83bf647a0a7fa3d0416aa383ad723132a5c5d115b2ac8adb8e530"
+            "5882a72b");
+  const Bytes msg = util::to_bytes("rvaas known answer");
+  const Signature sig = sk.sign(msg);
+  EXPECT_EQ(to_hex(sig.serialize()),
+            "200000002c133b00298af10929602b9e6e413b7678f206dac0eceeea0224ab45"
+            "9c9bdf66200000003e405c8e06923418a5098b80a6c2d2272a9bc3fda206a9e0"
+            "4e90f61252178e47");
+  EXPECT_TRUE(sk.verify_key().verify(msg, sig));
+}
+
+TEST(SealedBox, KnownAnswerPublicElementAndBox) {
+  util::Rng rng(701);
+  const BoxOpener opener = BoxOpener::generate(rng);
+  EXPECT_EQ(opener.public_element().to_hex(),
+            "56c29de4ddb0a28a3c4000d7456f2fc263a69b91c806058ae57d785c5b46406c");
+  const Bytes plain = util::to_bytes("sealed known answer");
+  const SealedBox box = opener.sealer().seal(rng, plain);
+  EXPECT_EQ(to_hex(box.serialize()),
+            "2000000044b4ad693a62d4df31a833b6ba8610f33befc1dd9dd4bc9ef2120603"
+            "22cc6cd210000000e6fa7576b6e60c7738bd93a5c972b80e13000000d017e73f"
+            "cf2dd926ba555b58e286fe04bfa67ccbfd56951448290f0106575df2af1b85c5"
+            "acb61d329a5ed57fa792784c55044d");
+  const auto out = opener.open(box);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, plain);
 }
 
 // --- Randomized round-trips across message shapes ---

@@ -6,6 +6,8 @@
 //   rvaas_client --port P --kind geo            other kinds: reach, sources,
 //                                               isolation, geo, pathlen,
 //                                               fairness, transfer
+//   rvaas_client --port P --kind pathlen --peer H
+//                                               PathLength to host H
 //   rvaas_client --port P --watch               subscribe + print pushes
 //   rvaas_client --server A --host H --seed S   explicit identity/slot
 //   rvaas_client --no-attest                    skip quote verification
@@ -82,6 +84,7 @@ void print_reply(const core::QueryReply& reply, bool signature_ok) {
 int main(int argc, char** argv) {
   net::WireClientConfig config;
   core::QueryKind kind = core::QueryKind::ReachableEndpoints;
+  std::optional<sdn::HostId> peer;
   bool watch = false;
   int timeout_ms = 5000;
 
@@ -104,6 +107,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       kind = *parsed;
+    } else if (arg == "--peer" && i + 1 < argc) {
+      peer = sdn::HostId(
+          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 0)));
     } else if (arg == "--watch") {
       watch = true;
     } else if (arg == "--timeout" && i + 1 < argc) {
@@ -135,6 +141,7 @@ int main(int argc, char** argv) {
   if (!watch) {
     core::Query query;
     query.kind = kind;
+    query.peer = peer;
     const net::WireClient::Outcome outcome = client.query(query, timeout_ms);
     if (outcome.timed_out || !outcome.reply) {
       std::fprintf(stderr, "query timed out\n");
@@ -146,6 +153,7 @@ int main(int argc, char** argv) {
 
   core::Property property;
   property.kind = kind;
+  property.peer = peer;
   const std::uint64_t sub_id =
       client.subscribe(property, core::NotifyPolicy::EveryChange);
   std::printf("subscribed id=%llu; waiting for pushes (^C to stop)\n",

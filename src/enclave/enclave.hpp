@@ -1,6 +1,7 @@
 #pragma once
 // Simulated trusted-execution environment (stands in for Intel SGX; see
-// DESIGN.md §2). Models exactly the properties the paper relies on:
+// docs/ARCHITECTURE.md, "Layer map" and the paper cross-reference). Models
+// exactly the properties the paper relies on:
 //
 //  * Measurement: a stable hash of the code identity, so a relying party can
 //    tell *which* program is running ("the provider makes sure that the

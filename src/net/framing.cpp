@@ -46,7 +46,7 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
       buffer_.clear();
       // The bound check precedes any allocation sized by the claim: a
       // 4-byte "4 GiB follows" must cost nothing.
-      if (claim == 0 || claim > max_frame_) {
+      if (claim == 0 || claim > kMaxFrameBytes) {
         poisoned_ = true;
         return false;
       }

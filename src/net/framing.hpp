@@ -50,9 +50,6 @@ util::Bytes encode_frame(std::span<const std::uint8_t> payload);
 /// the connection); no allocation proportional to the claim ever happens.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_frame = kMaxFrameBytes)
-      : max_frame_(max_frame) {}
-
   /// Appends raw stream bytes. Returns false (and sets poisoned()) on a
   /// bogus length claim; the decoder then ignores all further input.
   bool feed(std::span<const std::uint8_t> data);
@@ -65,7 +62,6 @@ class FrameDecoder {
   std::size_t buffered() const { return buffer_.size() + frame_.size(); }
 
  private:
-  std::size_t max_frame_;
   bool poisoned_ = false;
   /// Length-prefix accumulator (< 4 bytes) while between frames.
   util::Bytes buffer_;

@@ -4,6 +4,8 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -13,13 +15,6 @@
 #include <deque>
 #include <mutex>
 #include <unordered_map>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#else
-#include <poll.h>
-#endif
 
 #include "rvaas/inband.hpp"
 #include "util/ensure.hpp"
@@ -34,45 +29,29 @@ void set_nonblocking(int fd) {
                "fcntl(O_NONBLOCK) failed");
 }
 
-/// Readiness notifier pollable by the I/O loop (eventfd on Linux, a
-/// self-pipe elsewhere).
+/// Readiness notifier pollable by the I/O loop (an eventfd).
 class Wakeup {
  public:
-  Wakeup() {
-#if defined(__linux__)
-    read_fd_ = write_fd_ = ::eventfd(0, EFD_NONBLOCK);
-    util::ensure(read_fd_ >= 0, "eventfd failed");
-#else
-    int fds[2];
-    util::ensure(::pipe(fds) == 0, "pipe failed");
-    read_fd_ = fds[0];
-    write_fd_ = fds[1];
-    set_nonblocking(read_fd_);
-    set_nonblocking(write_fd_);
-#endif
+  Wakeup() : fd_(::eventfd(0, EFD_NONBLOCK)) {
+    util::ensure(fd_ >= 0, "eventfd failed");
   }
-  ~Wakeup() {
-    ::close(read_fd_);
-    if (write_fd_ != read_fd_) ::close(write_fd_);
-  }
-  int fd() const { return read_fd_; }
+  ~Wakeup() { ::close(fd_); }
+  int fd() const { return fd_; }
   void notify() {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n =
-        ::write(write_fd_, &one, sizeof one);  // full pipe == already pending
+        ::write(fd_, &one, sizeof one);  // counter saturated == pending
   }
   void drain() {
-    std::uint8_t buf[64];
-    while (::read(read_fd_, buf, sizeof buf) > 0) {
-    }
+    std::uint64_t count;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
   }
 
  private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;
+  int fd_;
 };
 
-/// Thin readiness-poller: epoll on Linux, poll(2) fallback elsewhere.
+/// Thin epoll readiness-poller.
 class Poller {
  public:
   struct Event {
@@ -82,7 +61,6 @@ class Poller {
     bool error = false;
   };
 
-#if defined(__linux__)
   Poller() : epfd_(::epoll_create1(0)) {
     util::ensure(epfd_ >= 0, "epoll_create1 failed");
   }
@@ -112,54 +90,15 @@ class Poller {
     util::ensure(::epoll_ctl(epfd_, op, fd, &ev) == 0, "epoll_ctl failed");
   }
   int epfd_;
-#else
-  void add(int fd, bool write) {
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, static_cast<short>(POLLIN | (write ? POLLOUT : 0)), 0});
-  }
-  void mod(int fd, bool write) {
-    fds_[index_.at(fd)].events =
-        static_cast<short>(POLLIN | (write ? POLLOUT : 0));
-  }
-  void del(int fd) {
-    const std::size_t i = index_.at(fd);
-    index_.erase(fd);
-    fds_[i] = fds_.back();
-    fds_.pop_back();
-    if (i < fds_.size()) index_[fds_[i].fd] = i;
-  }
-  void wait(std::vector<Event>& out, int timeout_ms) {
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    out.clear();
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(e);
-      if (out.size() == static_cast<std::size_t>(n)) break;
-    }
-  }
-
- private:
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-#endif
 };
 
 }  // namespace
 
-/// One outbound unit routed from the service thread to a connection's
+/// One outbound message routed from the service thread to a connection's
 /// owning I/O thread, which signs/seals and ships it.
 struct WireServer::Outbound {
-  enum class Kind { Reply, Notification, AuthRequest } kind = Kind::Reply;
   std::uint64_t conn = 0;
-  core::QueryReply reply;
-  core::Notification notification;
-  inband::AuthRequest auth;
+  inband::Outbound message;
 };
 
 struct WireServer::Connection {
@@ -167,11 +106,10 @@ struct WireServer::Connection {
   std::uint64_t id = 0;
   FrameDecoder decoder;
   bool hello_done = false;
-  bool has_session = false;
   WireSlot slot;
   crypto::VerifyKey client_key;
   crypto::BigUInt client_box_pub;
-  /// Outbound frames awaiting the socket; coalesced into one writev per
+  /// Outbound frames awaiting the socket; coalesced into one sendmsg per
   /// flush. out_offset_ is the partially-written prefix of the front frame.
   std::deque<util::Bytes> outq;
   std::size_t out_offset = 0;
@@ -295,49 +233,17 @@ WireServer::Stats WireServer::stats() const {
 
 // --- WireTransport (service thread) ---
 
-bool WireServer::deliver_reply(sdn::HostId client,
-                               const core::QueryReply& reply) {
-  const auto conn = sessions_.owner_of_host(client);
+bool WireServer::deliver(sdn::PortRef to, const inband::Outbound& out) {
+  const auto conn = sessions_.owner_of_port(to);
   if (!conn) return false;
-  Outbound out;
-  out.kind = Outbound::Kind::Reply;
-  out.conn = *conn;
-  out.reply = reply;
-  enqueue_outbound(*conn, std::move(out));
-  return true;
-}
-
-bool WireServer::deliver_notification(sdn::HostId client,
-                                      const core::Notification& notification) {
-  const auto conn = sessions_.owner_of_host(client);
-  if (!conn) return false;
-  Outbound out;
-  out.kind = Outbound::Kind::Notification;
-  out.conn = *conn;
-  out.notification = notification;
-  enqueue_outbound(*conn, std::move(out));
-  return true;
-}
-
-bool WireServer::deliver_auth_request(sdn::PortRef target,
-                                      const inband::AuthRequest& req) {
-  const auto conn = sessions_.owner_of_port(target);
-  if (!conn) return false;
-  Outbound out;
-  out.kind = Outbound::Kind::AuthRequest;
-  out.conn = *conn;
-  out.auth = req;
-  enqueue_outbound(*conn, std::move(out));
-  return true;
-}
-
-void WireServer::enqueue_outbound(std::uint64_t conn_id, Outbound out) {
-  IoThread& t = *io_threads_[conn_id % io_threads_.size()];
+  IoThread& t = *io_threads_[*conn % io_threads_.size()];
+  Outbound mail{*conn, out};
   {
     std::lock_guard<std::mutex> lock(t.mu);
-    t.mailbox.push_back(std::move(out));
+    t.mailbox.push_back(std::move(mail));
   }
   t.wakeup.notify();
+  return true;
 }
 
 // --- I/O threads ---
@@ -409,7 +315,6 @@ void WireServer::adopt(IoThread& t, int fd, std::uint64_t id) {
   // Outbound routing shards by id (id % threads): accept_ready picked this
   // thread from the same id.
   conn->id = id;
-  conn->decoder = FrameDecoder(config_.max_frame);
   t.fd_of[id] = fd;
   t.poller.add(fd, /*write=*/false);
   t.conns.emplace(fd, std::move(conn));
@@ -424,7 +329,11 @@ void WireServer::process_mailbox(IoThread& t) {
     adopts.swap(t.adopt_fds);
   }
   for (const auto& [fd, id] : adopts) adopt(t, fd, id);
-  for (Outbound& out : mail) {
+  // Indexed by the inband::Outbound alternative.
+  std::atomic<std::uint64_t>* const sent[] = {&stats_.replies_out,
+                                              &stats_.notifications_out,
+                                              &stats_.auth_requests_out};
+  for (const Outbound& out : mail) {
     const auto fd_it = t.fd_of.find(out.conn);
     if (fd_it == t.fd_of.end()) continue;  // connection died in the meantime
     const auto it = t.conns.find(fd_it->second);
@@ -432,25 +341,11 @@ void WireServer::process_mailbox(IoThread& t) {
     Connection& conn = *it->second;
     // Sign/seal here, off the service thread, with this thread's rng. The
     // sealed bytes differ per rng draw but open to identical plaintext.
-    sdn::Packet packet;
-    switch (out.kind) {
-      case Outbound::Kind::Reply:
-        packet = inband::make_reply_packet(out.reply, controller_->enclave(),
-                                           conn.client_box_pub, t.rng);
-        ++stats_.replies_out;
-        break;
-      case Outbound::Kind::Notification:
-        packet =
-            inband::make_notify_packet(out.notification, controller_->enclave(),
-                                       conn.client_box_pub, t.rng);
-        ++stats_.notifications_out;
-        break;
-      case Outbound::Kind::AuthRequest:
-        packet = inband::make_auth_request(out.auth, controller_->enclave());
-        ++stats_.auth_requests_out;
-        break;
-    }
-    send_frame(t, conn, encode_inband(packet));
+    ++*sent[out.message.index()];
+    send_frame(t, conn,
+               encode_inband(inband::make_outbound_packet(
+                   out.message, controller_->enclave(), conn.client_box_pub,
+                   t.rng)));
   }
 }
 
@@ -519,13 +414,13 @@ void WireServer::handle_hello(IoThread& t, Connection& conn,
   welcome.status = sessions_.claim(hello->requested_host, conn.id, &slot);
   if (welcome.status != WelcomeStatus::Ok) {
     ++stats_.bad_hellos;
-    send_frame(t, conn, welcome.encode());
+    // Marked before the send: its flush may close `conn` (and free it) on a
+    // write error, or closes it once the refusal is out.
     conn.close_after_flush = true;
-    flush(t, conn);
+    send_frame(t, conn, welcome.encode());
     return;
   }
   conn.hello_done = true;
-  conn.has_session = true;
   conn.slot = slot;
   conn.client_key = hello->client_key;
   conn.client_box_pub = hello->client_box_pub;
@@ -609,18 +504,22 @@ void WireServer::send_frame(IoThread& t, Connection& conn,
 
 void WireServer::flush(IoThread& t, Connection& conn) {
   while (!conn.outq.empty()) {
-    // Coalesce queued frames into one writev (the per-wakeup batch).
+    // Coalesce queued frames into one sendmsg (the per-wakeup batch).
+    // MSG_NOSIGNAL: writing to a peer that hung up fails with EPIPE (and
+    // closes this connection) instead of raising SIGPIPE, whose default
+    // action would kill the whole server.
     iovec iov[16];
-    int iovcnt = 0;
+    msghdr msg{};
+    msg.msg_iov = iov;
     std::size_t offset = conn.out_offset;
-    for (auto it = conn.outq.begin(); it != conn.outq.end() && iovcnt < 16;
-         ++it) {
-      iov[iovcnt].iov_base = it->data() + offset;
-      iov[iovcnt].iov_len = it->size() - offset;
+    for (auto it = conn.outq.begin();
+         it != conn.outq.end() && msg.msg_iovlen < 16; ++it) {
+      iov[msg.msg_iovlen].iov_base = it->data() + offset;
+      iov[msg.msg_iovlen].iov_len = it->size() - offset;
       offset = 0;
-      ++iovcnt;
+      ++msg.msg_iovlen;
     }
-    const ssize_t n = ::writev(conn.fd, iov, iovcnt);
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn.want_write) {

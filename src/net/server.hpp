@@ -1,8 +1,8 @@
 #pragma once
 // WireServer: the non-blocking TCP front-end that puts RvaasController on a
-// real wire. An acceptor plus N I/O threads (epoll on Linux, poll(2)
-// elsewhere) own the sockets; each connection runs a small state machine
-// (AwaitHello -> Active) over length-framed wire messages (net/framing.hpp).
+// real wire (Linux: epoll and eventfd). An acceptor plus N I/O threads own
+// the sockets; each connection runs a small state machine (AwaitHello ->
+// Active) over length-framed wire messages (net/framing.hpp).
 //
 // Division of labour per query:
 //   I/O thread:      framing, envelope open/verify (the enclave's
@@ -11,9 +11,16 @@
 //                    thread and scales with --io-threads),
 //   service thread:  admission, evaluation, auth bookkeeping — via
 //                    WireService::post, FIFO per session,
-//   I/O thread:      outbound sign+seal and batched (writev) flushes, fed
-//                    through a per-thread mailbox by the WireTransport
-//                    hooks.
+//   I/O thread:      outbound sign+seal (inband::make_outbound_packet) and
+//                    batched flushes (sendmsg with MSG_NOSIGNAL, so a peer
+//                    that hung up costs its connection, never the
+//                    process), fed through a per-thread mailbox by
+//                    deliver().
+//
+// Routing: a message leaves by the access point it answers, so deliver()
+// picks the session whose slot sits at that access point. The controller's
+// admission binding (a request speaks only for the host at its own access
+// point) makes that the requester's own socket.
 //
 // A dead socket releases its slot and posts evict_client: its subscriptions
 // are unsubscribed and in-flight evaluations cancelled, so it can never
@@ -40,9 +47,6 @@ struct WireServerConfig {
   /// 0 = ephemeral; read the bound port back via port() after start().
   std::uint16_t port = 0;
   std::size_t io_threads = 1;
-  /// Inbound frame bound (a length claim above this closes the connection
-  /// before any allocation).
-  std::size_t max_frame = kMaxFrameBytes;
 };
 
 class WireServer : public core::RvaasController::WireTransport {
@@ -76,7 +80,7 @@ class WireServer : public core::RvaasController::WireTransport {
     std::uint64_t bytes_out = 0;
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
-    std::uint64_t flushes = 0;        ///< writev calls (batching ratio =
+    std::uint64_t flushes = 0;        ///< sendmsg calls (batching ratio =
                                       ///< frames_out / flushes)
     std::uint64_t bad_frames = 0;     ///< poisoned streams + undecodable
     std::uint64_t bad_hellos = 0;
@@ -91,13 +95,9 @@ class WireServer : public core::RvaasController::WireTransport {
   };
   Stats stats() const;
 
-  // --- WireTransport (service thread) ---
-  bool deliver_reply(sdn::HostId client,
-                     const core::QueryReply& reply) override;
-  bool deliver_notification(sdn::HostId client,
-                            const core::Notification& notification) override;
-  bool deliver_auth_request(sdn::PortRef target,
-                            const inband::AuthRequest& req) override;
+  /// WireTransport (service thread): hands `out` to the I/O thread of the
+  /// session whose slot sits at `to`; false when no session owns it.
+  bool deliver(sdn::PortRef to, const inband::Outbound& out) override;
 
  private:
   struct Connection;
@@ -117,7 +117,6 @@ class WireServer : public core::RvaasController::WireTransport {
   void send_frame(IoThread& t, Connection& conn, util::Bytes payload);
   void flush(IoThread& t, Connection& conn);
   void close_connection(IoThread& t, Connection& conn);
-  void enqueue_outbound(std::uint64_t conn_id, Outbound out);
 
   WireServerConfig config_;
   core::RvaasController* controller_;

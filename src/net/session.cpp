@@ -55,14 +55,6 @@ std::optional<WireSlot> SessionTable::release(std::uint64_t conn) {
   return slots_[index];
 }
 
-std::optional<std::uint64_t> SessionTable::owner_of_host(
-    sdn::HostId client) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_host_.find(client.value);
-  if (it == by_host_.end()) return std::nullopt;
-  return owner_[it->second];
-}
-
 std::optional<std::uint64_t> SessionTable::owner_of_port(
     sdn::PortRef ap) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -6,7 +6,8 @@
 // controller cannot tell a wire session from an in-process agent.
 //
 // Thread-safe: I/O threads claim/release around connection lifecycle while
-// the service thread resolves owners for outbound routing.
+// the service thread resolves the owner of an access point for outbound
+// routing.
 
 #include <cstdint>
 #include <mutex>
@@ -43,8 +44,6 @@ class SessionTable {
   /// Frees whatever slot `conn` holds; returns it (for eviction) if any.
   std::optional<WireSlot> release(std::uint64_t conn);
 
-  /// Connection currently owning `client`, if any.
-  std::optional<std::uint64_t> owner_of_host(sdn::HostId client) const;
   /// Connection whose slot sits at access point `ap`, if any.
   std::optional<std::uint64_t> owner_of_port(sdn::PortRef ap) const;
 

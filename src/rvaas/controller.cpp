@@ -428,7 +428,7 @@ void RvaasController::admit_request(const QueryRequest& request,
     ++stats_.bad_requests;
     return;
   }
-  if (!clients_.contains(request.client) ||
+  if (!speaks_for(request.client, request_point) ||
       !can_evaluate(request.query.kind)) {
     ++stats_.bad_requests;
     return;
@@ -492,7 +492,7 @@ void RvaasController::wire_subscribe(const SubscribeRequest& request,
 
 void RvaasController::admit_subscribe(const SubscribeRequest& request,
                                       sdn::PortRef request_point) {
-  if (!clients_.contains(request.client)) {
+  if (!speaks_for(request.client, request_point)) {
     ++stats_.bad_requests;
     return;
   }
@@ -586,14 +586,7 @@ void RvaasController::dispatch_auth_requests(
 
     ++stats_.auth_requests_sent;
     ++stats_.crypto_ops;  // signature
-    // A wire session owning this access point answers over its socket; the
-    // transport signs the request with the enclave key on an I/O thread.
-    if (wire_ && wire_->deliver_auth_request(ap, req)) continue;
-    sdn::PacketOut out;
-    out.sw = ap.sw;
-    out.actions = {sdn::output(ap.port)};
-    out.packet = make_auth_request(req, enclave_);
-    handle_->packet_out(out);
+    send(ap, /*client_box_pub=*/{}, req);  // signed, not sealed
   }
   pending.reply.auth.issued =
       static_cast<std::uint32_t>(pending.expected.size());
@@ -693,8 +686,21 @@ void RvaasController::finalize(std::uint64_t request_id) {
   pending_.erase(it);
 }
 
+void RvaasController::send(PortRef to, const crypto::BigUInt& client_box_pub,
+                           const inband::Outbound& out) {
+  // The only fork between the wire and in-band: a wire session owning `to`
+  // takes the plain message and signs/seals it on an I/O thread.
+  if (wire_ && wire_->deliver(to, out)) return;
+  sdn::PacketOut packet_out;
+  packet_out.sw = to.sw;
+  packet_out.actions = {sdn::output(to.port)};
+  packet_out.packet =
+      inband::make_outbound_packet(out, enclave_, client_box_pub, rng_);
+  handle_->packet_out(packet_out);
+}
+
 void RvaasController::send_notification(
-    const PendingQuery& pending, const PropertyMonitor::Decision& decision) {
+    PendingQuery& pending, const PropertyMonitor::Decision& decision) {
   const auto client_it = clients_.find(pending.request.client);
   if (client_it == clients_.end()) return;
 
@@ -706,20 +712,12 @@ void RvaasController::send_notification(
                           : NotificationKind::AllClear;
   notification.epoch = pending.evaluated_epoch;
   notification.property_fingerprint = pending.property_fingerprint;
-  notification.reply = pending.reply;
+  notification.reply = std::move(pending.reply);
 
   stats_.crypto_ops += 2;  // sign + seal (by the transport if wire-attached)
   ++stats_.notifications_sent;
-  if (wire_ &&
-      wire_->deliver_notification(pending.request.client, notification)) {
-    return;
-  }
-  sdn::PacketOut out;
-  out.sw = pending.request_point.sw;
-  out.actions = {sdn::output(pending.request_point.port)};
-  out.packet = inband::make_notify_packet(
-      notification, enclave_, client_it->second.box_public, rng_);
-  handle_->packet_out(out);
+  send(pending.request_point, client_it->second.box_public,
+       std::move(notification));
 }
 
 void RvaasController::send_degraded_notification(
@@ -746,15 +744,8 @@ void RvaasController::send_degraded_notification(
   stats_.crypto_ops += 2;  // sign + seal (by the transport if wire-attached)
   ++stats_.degraded_notifications;
   ++stats_.notifications_sent;
-  if (wire_ && wire_->deliver_notification(push.key.first, notification)) {
-    return;
-  }
-  sdn::PacketOut out;
-  out.sw = push.request_point.sw;
-  out.actions = {sdn::output(push.request_point.port)};
-  out.packet = inband::make_notify_packet(
-      notification, enclave_, client_it->second.box_public, rng_);
-  handle_->packet_out(out);
+  send(push.request_point, client_it->second.box_public,
+       std::move(notification));
 }
 
 void RvaasController::schedule_monitor_sweep() {
@@ -842,21 +833,14 @@ std::size_t RvaasController::evict_client(sdn::HostId client) {
   return dropped;
 }
 
-void RvaasController::send_reply(const PendingQuery& pending) {
+void RvaasController::send_reply(PendingQuery& pending) {
   const auto client_it = clients_.find(pending.request.client);
   if (client_it == clients_.end()) return;
 
   stats_.crypto_ops += 2;  // sign + seal (by the transport if wire-attached)
   ++stats_.replies_sent;
-  if (wire_ && wire_->deliver_reply(pending.request.client, pending.reply)) {
-    return;
-  }
-  sdn::PacketOut out;
-  out.sw = pending.request_point.sw;
-  out.actions = {sdn::output(pending.request_point.port)};
-  out.packet = inband::make_reply_packet(
-      pending.reply, enclave_, client_it->second.box_public, rng_);
-  handle_->packet_out(out);
+  send(pending.request_point, client_it->second.box_public,
+       std::move(pending.reply));
 }
 
 }  // namespace rvaas::core

@@ -126,12 +126,13 @@ class RvaasController : public sdn::Controller {
   // envelopes are opened/verified on the front-end's I/O threads (the
   // enclave's open/verify/sign are const, pure bignum math — thread-safe)
   // and enter here through the wire_* entry points on the controller's own
-  // (event-loop) thread; outbound replies/notifications/auth-requests are
-  // offered to the WireTransport as plain structs so the transport can
-  // sign/seal them off-thread with the same enclave key — byte-identical
-  // semantic content, with the per-query asymmetric crypto moved off the
-  // single event-loop thread. A declined delivery (false) falls back to the
-  // normal in-band packet path, so simulated clients are unaffected.
+  // (event-loop) thread. Everything the controller sends leaves through
+  // send(), which offers the plain message to the WireTransport first, so
+  // the transport can sign/seal it off-thread with the same enclave key —
+  // byte-identical semantic content, with the per-query asymmetric crypto
+  // moved off the single event-loop thread. A declined delivery (false)
+  // falls back to the in-band packet-out at the same access point, so
+  // simulated clients are unaffected.
 
   /// Transport seam the TCP front-end implements. All calls arrive on the
   /// controller's event-loop thread; implementations must not call back
@@ -139,16 +140,11 @@ class RvaasController : public sdn::Controller {
   class WireTransport {
    public:
     virtual ~WireTransport() = default;
-    /// True if `client` is wire-attached and the reply was taken.
-    virtual bool deliver_reply(sdn::HostId client, const QueryReply& reply) = 0;
-    /// True if `client` is wire-attached and the notification was taken.
-    virtual bool deliver_notification(sdn::HostId client,
-                                      const Notification& notification) = 0;
-    /// True if the access point `target` belongs to a wire session and the
-    /// (unsigned) auth request was taken — the transport signs it with the
-    /// enclave key off-thread and ships it down that session's socket.
-    virtual bool deliver_auth_request(sdn::PortRef target,
-                                      const inband::AuthRequest& req) = 0;
+    /// True if the access point `to` belongs to a wire session and `out`
+    /// was taken: the transport signs (and, for a reply or push, seals) it
+    /// with the enclave key off-thread and ships it down that session's
+    /// socket.
+    virtual bool deliver(sdn::PortRef to, const inband::Outbound& out) = 0;
   };
   /// Attaches/detaches the wire transport (nullptr = in-band only). The
   /// transport must outlive the controller or be detached first.
@@ -296,6 +292,14 @@ class RvaasController : public sdn::Controller {
   bool can_evaluate(QueryKind kind) const {
     return kind != QueryKind::Geo || geo_ != nullptr;
   }
+  /// Admission binding: a request speaks only for the enrolled host at its
+  /// own access point. Both admission paths count any other claim as a bad
+  /// request, so a tenant can neither ask in another's name nor steer the
+  /// answer to another's socket.
+  bool speaks_for(sdn::HostId client, sdn::PortRef request_point) const {
+    return clients_.contains(client) &&
+           net_->topology().host_at(request_point) == client;
+  }
   void admit_auth_reply(const inband::AuthReply& reply,
                         const crypto::Signature* signature,
                         sdn::PortRef from);
@@ -309,8 +313,17 @@ class RvaasController : public sdn::Controller {
   void track_pending(PendingQuery pending,
                      std::span<const sdn::PortRef> targets);
   void finalize(std::uint64_t request_id);
-  void send_reply(const PendingQuery& pending);
-  void send_notification(const PendingQuery& pending,
+  /// The one way out: `out` leaves by the access point `to` it answers (a
+  /// reply by its request point, a push by its subscription's request
+  /// point, an auth request by its target), over a wire session's socket
+  /// when one owns `to`, else by in-band packet-out sealed to
+  /// `client_box_pub` (which an auth request does not read).
+  void send(sdn::PortRef to, const crypto::BigUInt& client_box_pub,
+            const inband::Outbound& out);
+  /// send_reply and send_notification move the finished reply out of
+  /// `pending`, which finalize() drops right after.
+  void send_reply(PendingQuery& pending);
+  void send_notification(PendingQuery& pending,
                          const PropertyMonitor::Decision& decision);
   /// Signed, sealed VerificationDegraded push for a subscription whose
   /// footprint lost a switch (no evaluation attached: the point is that a

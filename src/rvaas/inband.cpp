@@ -15,6 +15,55 @@ sdn::Packet base_udp_packet(std::uint64_t src_eth, std::uint64_t src_ip,
   return p;
 }
 
+/// Sign, then seal: the signature travels inside the box, hidden from the
+/// provider along with the content, so the provider can neither read nor
+/// forge a reply or a push (nor tell one from the other).
+template <typename Message>
+sdn::Packet sign_and_seal(Tag tag, const Message& message,
+                          const enclave::Enclave& enclave,
+                          const crypto::BigUInt& client_box_pub,
+                          util::Rng& rng) {
+  util::ByteWriter inner;
+  message.serialize(inner);
+  inner.put_bytes(enclave.sign(message.signing_payload()).serialize());
+  const crypto::SealedBox box =
+      crypto::BoxSealer(client_box_pub).seal(rng, inner.data());
+
+  sdn::Packet p = base_udp_packet(0, 0, sdn::kPortRvaasReply);
+  util::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(tag));
+  w.put_bytes(box.serialize());
+  p.payload = w.take();
+  return p;
+}
+
+/// Opens what sign_and_seal made and checks the signature against the
+/// trusted RVaaS key; nullopt on tamper/garbage.
+template <typename Message>
+std::optional<std::pair<Message, bool>> open_and_verify(
+    Tag tag, const sdn::Packet& packet, const crypto::BoxOpener& client_box,
+    const crypto::VerifyKey& rvaas_key) {
+  if (classify(packet) != tag) return std::nullopt;
+  try {
+    util::ByteReader r(packet.payload);
+    r.get_u32();  // tag
+    util::ByteReader box_reader(r.get_bytes());
+    const crypto::SealedBox box = crypto::SealedBox::deserialize(box_reader);
+    const auto plain = client_box.open(box);
+    if (!plain) return std::nullopt;
+
+    util::ByteReader pr(*plain);
+    Message message = Message::deserialize(pr);
+    util::ByteReader sig_reader(pr.get_bytes());
+    const crypto::Signature sig = crypto::Signature::deserialize(sig_reader);
+    pr.expect_done();
+    const bool signature_ok = rvaas_key.verify(message.signing_payload(), sig);
+    return std::make_pair(std::move(message), signature_ok);
+  } catch (const util::DecodeError&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 std::optional<Tag> classify(const sdn::Packet& packet) {
@@ -170,45 +219,16 @@ sdn::Packet make_reply_packet(const QueryReply& reply,
                               const enclave::Enclave& enclave,
                               const crypto::BigUInt& client_box_pub,
                               util::Rng& rng) {
-  // Sign, then seal (signature travels inside the box, hidden from the
-  // provider along with the content).
-  util::ByteWriter inner;
-  reply.serialize(inner);
-  inner.put_bytes(enclave.sign(reply.signing_payload()).serialize());
-  const crypto::SealedBox box =
-      crypto::BoxSealer(client_box_pub).seal(rng, inner.data());
-
-  sdn::Packet p = base_udp_packet(0, 0, sdn::kPortRvaasReply);
-  util::ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(Tag::Reply));
-  w.put_bytes(box.serialize());
-  p.payload = w.take();
-  return p;
+  return sign_and_seal(Tag::Reply, reply, enclave, client_box_pub, rng);
 }
 
 std::optional<OpenedReply> open_reply(const sdn::Packet& packet,
                                       const crypto::BoxOpener& client_box,
                                       const crypto::VerifyKey& rvaas_key) {
-  if (classify(packet) != Tag::Reply) return std::nullopt;
-  try {
-    util::ByteReader r(packet.payload);
-    r.get_u32();  // tag
-    util::ByteReader box_reader(r.get_bytes());
-    const crypto::SealedBox box = crypto::SealedBox::deserialize(box_reader);
-    const auto plain = client_box.open(box);
-    if (!plain) return std::nullopt;
-
-    util::ByteReader pr(*plain);
-    OpenedReply out;
-    out.reply = QueryReply::deserialize(pr);
-    util::ByteReader sig_reader(pr.get_bytes());
-    const crypto::Signature sig = crypto::Signature::deserialize(sig_reader);
-    pr.expect_done();
-    out.signature_ok = rvaas_key.verify(out.reply.signing_payload(), sig);
-    return out;
-  } catch (const util::DecodeError&) {
-    return std::nullopt;
-  }
+  auto opened =
+      open_and_verify<QueryReply>(Tag::Reply, packet, client_box, rvaas_key);
+  if (!opened) return std::nullopt;
+  return OpenedReply{std::move(opened->first), opened->second};
 }
 
 sdn::Packet make_subscribe_packet(const control::HostAddress& src,
@@ -257,46 +277,30 @@ sdn::Packet make_notify_packet(const Notification& notification,
                                const enclave::Enclave& enclave,
                                const crypto::BigUInt& client_box_pub,
                                util::Rng& rng) {
-  // Sign, then seal — same envelope as a query reply, so the provider can
-  // neither read nor forge an alert (nor tell one from a reply).
-  util::ByteWriter inner;
-  notification.serialize(inner);
-  inner.put_bytes(enclave.sign(notification.signing_payload()).serialize());
-  const crypto::SealedBox box =
-      crypto::BoxSealer(client_box_pub).seal(rng, inner.data());
-
-  sdn::Packet p = base_udp_packet(0, 0, sdn::kPortRvaasReply);
-  util::ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(Tag::Notify));
-  w.put_bytes(box.serialize());
-  p.payload = w.take();
-  return p;
+  return sign_and_seal(Tag::Notify, notification, enclave, client_box_pub,
+                       rng);
 }
 
 std::optional<OpenedNotification> open_notify(
     const sdn::Packet& packet, const crypto::BoxOpener& client_box,
     const crypto::VerifyKey& rvaas_key) {
-  if (classify(packet) != Tag::Notify) return std::nullopt;
-  try {
-    util::ByteReader r(packet.payload);
-    r.get_u32();  // tag
-    util::ByteReader box_reader(r.get_bytes());
-    const crypto::SealedBox box = crypto::SealedBox::deserialize(box_reader);
-    const auto plain = client_box.open(box);
-    if (!plain) return std::nullopt;
+  auto opened = open_and_verify<Notification>(Tag::Notify, packet, client_box,
+                                              rvaas_key);
+  if (!opened) return std::nullopt;
+  return OpenedNotification{std::move(opened->first), opened->second};
+}
 
-    util::ByteReader pr(*plain);
-    OpenedNotification out;
-    out.notification = Notification::deserialize(pr);
-    util::ByteReader sig_reader(pr.get_bytes());
-    const crypto::Signature sig = crypto::Signature::deserialize(sig_reader);
-    pr.expect_done();
-    out.signature_ok =
-        rvaas_key.verify(out.notification.signing_payload(), sig);
-    return out;
-  } catch (const util::DecodeError&) {
-    return std::nullopt;
+sdn::Packet make_outbound_packet(const Outbound& out,
+                                 const enclave::Enclave& enclave,
+                                 const crypto::BigUInt& client_box_pub,
+                                 util::Rng& rng) {
+  if (const auto* reply = std::get_if<QueryReply>(&out)) {
+    return make_reply_packet(*reply, enclave, client_box_pub, rng);
   }
+  if (const auto* notification = std::get_if<Notification>(&out)) {
+    return make_notify_packet(*notification, enclave, client_box_pub, rng);
+  }
+  return make_auth_request(std::get<AuthRequest>(out), enclave);
 }
 
 }  // namespace rvaas::core::inband

@@ -9,6 +9,8 @@
 // Requests are sealed to the enclave (the provider cannot read queries);
 // replies are signed by it (the provider cannot forge answers).
 
+#include <variant>
+
 #include "controlplane/routing.hpp"
 #include "enclave/enclave.hpp"
 #include "rvaas/query.hpp"
@@ -126,5 +128,20 @@ struct OpenedNotification {
 std::optional<OpenedNotification> open_notify(
     const sdn::Packet& packet, const crypto::BoxOpener& client_box,
     const crypto::VerifyKey& rvaas_key);
+
+// --- everything RVaaS sends ---
+
+/// One message leaving RVaaS by packet-out at an access point: the reply at
+/// the requester, a push at the subscriber, or an auth request at a probed
+/// endpoint.
+using Outbound = std::variant<QueryReply, Notification, AuthRequest>;
+
+/// The packet that carries `out`: make_reply_packet, make_notify_packet or
+/// make_auth_request. An auth request is signed only, so it reads neither
+/// `client_box_pub` nor `rng`.
+sdn::Packet make_outbound_packet(const Outbound& out,
+                                 const enclave::Enclave& enclave,
+                                 const crypto::BigUInt& client_box_pub,
+                                 util::Rng& rng);
 
 }  // namespace rvaas::core::inband

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "rvaas_revision.h"  // RVAAS_GIT_SHA, generated on every build
 #include "util/ensure.hpp"
 
 namespace rvaas::util {
@@ -168,8 +169,8 @@ bool write_json_tables(
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  // RVAAS_COMPILER, RVAAS_BUILD_TYPE and RVAAS_GIT_SHA are defined for
-  // this file by CMakeLists.txt at configure time.
+  // CMakeLists.txt defines RVAAS_COMPILER and RVAAS_BUILD_TYPE for this
+  // file at configure time; RVAAS_GIT_SHA comes from the generated header.
   Table host({"nproc", "compiler", "build-type", "git-sha"});
   host.add_row({std::to_string(std::thread::hardware_concurrency()),
                 RVAAS_COMPILER, RVAAS_BUILD_TYPE, RVAAS_GIT_SHA});

@@ -10,8 +10,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <thread>
 
 #include "enclave/enclave.hpp"
 #include "hsa/transfer.hpp"
@@ -485,6 +489,29 @@ struct SocketAssault : ::testing::Test {
     (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
   }
 
+  /// Blocks up to `timeout_ms` for the next frame on a raw socket; nullopt
+  /// on EOF, error or timeout.
+  std::optional<util::Bytes> raw_read_frame(int fd, net::FrameDecoder& decoder,
+                                            int timeout_ms = 30'000) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    while (true) {
+      if (auto frame = decoder.take()) return frame;
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd pfd{fd, POLLIN, 0};
+      if (left.count() <= 0 ||
+          ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+        return std::nullopt;
+      }
+      std::uint8_t buf[4096];
+      const ssize_t n = ::read(fd, buf, sizeof buf);
+      if (n <= 0 || !decoder.feed({buf, static_cast<std::size_t>(n)})) {
+        return std::nullopt;
+      }
+    }
+  }
+
   /// The liveness probe: a fresh legitimate session must still handshake,
   /// attest and get a signed Geo reply.
   void expect_server_alive(std::uint64_t seed) {
@@ -573,6 +600,83 @@ TEST_F(SocketAssault, SeededGarbageStreamsNeverCrashOrAuthenticate) {
   expect_server_alive(0x11ff);
   const auto stats = server->stats();
   EXPECT_GT(stats.bad_frames + stats.bad_hellos, 0u);
+}
+
+TEST_F(SocketAssault, HangupWithRepliesQueuedNeverKillsTheServer) {
+  // A tenant pipelines sealed queries, reads the first reply and hangs up,
+  // so the server keeps writing replies into a socket the peer closed. Each
+  // such write must cost that connection, never the process (SIGPIPE's
+  // default action would end it).
+  Query query;
+  query.kind = QueryKind::Geo;
+  for (int round = 0; round < 10; ++round) {
+    const int fd = raw_connect();
+    ClientSession session(util::Rng(0x5160 + round));
+    net::WireHello hello;
+    hello.client_key = session.verify_key();
+    hello.client_box_pub = session.box_public();
+    hello.requested_host = wire_hosts[1].value;
+    raw_send(fd, net::encode_frame(hello.encode()));
+    net::FrameDecoder decoder;
+    const auto welcome_frame = raw_read_frame(fd, decoder);
+    ASSERT_TRUE(welcome_frame.has_value()) << "round " << round;
+    const auto welcome = net::WireWelcome::decode(*welcome_frame);
+    ASSERT_TRUE(welcome.has_value()) << "round " << round;
+    ASSERT_EQ(welcome->status, net::WelcomeStatus::Ok) << "round " << round;
+    session.trust_rvaas(welcome->rvaas_key, welcome->rvaas_box_pub);
+    session.bind(welcome->host, welcome->address);
+
+    util::Bytes burst;
+    for (int i = 0; i < 8; ++i) {
+      const util::Bytes frame = net::encode_frame(
+          net::encode_inband(session.seal_query(query).packet));
+      burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    raw_send(fd, burst);
+    ASSERT_TRUE(raw_read_frame(fd, decoder).has_value()) << "round " << round;
+    ::close(fd);
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->sessions().active() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server->sessions().active(), 0u) << "round " << round;
+  }
+  expect_server_alive(0x1200);
+}
+
+TEST_F(SocketAssault, RefusedHelloThenResetNeverTouchesAFreedConnection) {
+  // A HELLO for a taken slot is answered with a refusal, then the server
+  // closes. When the peer has already reset the connection, that send fails
+  // and closes (frees) the connection inside the send, so the refusal path
+  // must not touch it afterwards (AddressSanitizer catches a use after
+  // free here).
+  net::WireClientConfig config;
+  config.port = server->port();
+  config.requested_host = wire_hosts[1].value;
+  config.seed = 0x7a4e;
+  net::WireClient holder(config);
+  ASSERT_EQ(holder.connect(), net::WelcomeStatus::Ok);
+
+  ClientSession session(util::Rng(0x7a4f));
+  net::WireHello hello;
+  hello.client_key = session.verify_key();
+  hello.client_box_pub = session.box_public();
+  hello.requested_host = wire_hosts[1].value;
+  const util::Bytes frame = net::encode_frame(hello.encode());
+  for (int i = 0; i < 100; ++i) {
+    const int fd = raw_connect();
+    raw_send(fd, frame);
+    // Varied pauses let some refusals be read before the reset arrives.
+    std::this_thread::sleep_for(std::chrono::microseconds(i % 50));
+    const linger reset{1, 0};  // close() now sends RST instead of FIN
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+    ::close(fd);
+  }
+  expect_server_alive(0x1201);
+  holder.close();
 }
 
 TEST_F(SocketAssault, PostHandshakeGarbageNeverYieldsVerifiedTraffic) {

@@ -13,11 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "rvaas/inband.hpp"
 #include "util/ensure.hpp"
 #include "util/rng.hpp"
 #include "workload/wire_world.hpp"
@@ -147,7 +149,8 @@ TEST(SessionTable, SlotSemantics) {
   EXPECT_EQ(table.claim(0, 12, &got), WelcomeStatus::NoFreeSlot);
   EXPECT_EQ(table.active(), 2u);
 
-  EXPECT_EQ(table.owner_of_host(HostId(1001)), std::uint64_t{10});
+  EXPECT_EQ(table.owner_of_port(PortRef{SwitchId(1), PortNo(1)}),
+            std::uint64_t{10});
   EXPECT_EQ(table.owner_of_port(PortRef{SwitchId(1), PortNo(2)}),
             std::uint64_t{11});
 
@@ -155,7 +158,8 @@ TEST(SessionTable, SlotSemantics) {
   ASSERT_TRUE(released.has_value());
   EXPECT_EQ(released->host, HostId(1001));
   EXPECT_FALSE(table.release(10).has_value());  // idempotent
-  EXPECT_FALSE(table.owner_of_host(HostId(1001)).has_value());
+  EXPECT_FALSE(
+      table.owner_of_port(PortRef{SwitchId(1), PortNo(1)}).has_value());
   EXPECT_EQ(table.claim(1001, 13, &got), WelcomeStatus::Ok);
 }
 
@@ -288,6 +292,98 @@ TEST(WireServer, RepliesByteIdenticalToInProcessForAllKinds) {
   client->close();
   wired.server->stop();
   wired.service->stop();
+}
+
+TEST(WireServer, RequestNamingAnotherHostIsRefused) {
+  // Host A (in-process) seals a request from its own access point that
+  // names wire host B and takes B's next request id. Admission must refuse
+  // it: answered, it would be evaluated at A's access point and land on
+  // B's socket as the answer to B's own query.
+  WireWorld world = make_wire_world(/*seed=*/53, /*wire_slots=*/1);
+  workload::ScenarioRuntime& runtime = *world.runtime;
+  const HostId a = runtime.hosts().front();
+  const HostId b = world.wire_hosts.front();
+  auto client = connect_client(world, b);
+  const auto counters = [&] {
+    return world.service->call([&runtime] {
+      const auto& stats = runtime.rvaas().stats();
+      return std::make_pair(stats.queries_received, stats.bad_requests);
+    });
+  };
+  const auto [received_before, bad_before] = counters();
+
+  core::QueryRequest forged;
+  forged.request_id = (std::uint64_t{b.value} << 32) | 1;
+  forged.client = b;
+  forged.query.kind = QueryKind::ReachableEndpoints;
+  world.service->post([&runtime, a, forged] {
+    util::Rng rng(0xf0e);
+    runtime.network().host_send(
+        a, runtime.network().topology().host_ports(a).front(),
+        core::inband::make_request_packet(
+            runtime.addressing().of(a), forged,
+            runtime.rvaas().enclave().box_public(), rng));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counters().first == received_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(counters().first, received_before + 1);
+
+  // B's own query is answered from B's own access point.
+  Query query;
+  query.kind = QueryKind::ReachableEndpoints;
+  const auto outcome = client->query(query, 30'000);
+  ASSERT_TRUE(outcome.reply.has_value());
+  EXPECT_TRUE(outcome.signature_ok);
+  EXPECT_FALSE(outcome.reply->endpoints.empty());
+  for (const auto& endpoint : outcome.reply->endpoints) {
+    EXPECT_NE(endpoint.access_point, client->access_point());
+  }
+  EXPECT_EQ(counters().second, bad_before + 1);
+
+  client->close();
+  world.server->stop();
+  world.service->stop();
+}
+
+TEST(WireServer, WirePeerAnswersAuthRequestsOverItsSocket) {
+  // Both ends of an auth round are wire sessions: A's query probes B's
+  // access point, and B answers the signed auth request over its socket.
+  WireWorld world = make_wire_world(/*seed=*/59, /*wire_slots=*/2);
+  auto a = connect_client(world, world.wire_hosts[0], 0xa1);
+  auto b = connect_client(world, world.wire_hosts[1], 0xb1);
+
+  std::atomic<bool> done{false};
+  std::thread pump([&] {
+    while (!done) b->wait_notification(10);  // answers auth requests inline
+  });
+  Query query;
+  query.kind = QueryKind::ReachableEndpoints;
+  const auto outcome = a->query(query, 30'000);
+  done = true;
+  pump.join();
+
+  ASSERT_TRUE(outcome.reply.has_value());
+  EXPECT_TRUE(outcome.signature_ok);
+  const core::QueryReply& reply = *outcome.reply;
+  EXPECT_EQ(reply.auth.responded, reply.auth.issued);
+  bool saw_b = false;
+  for (const auto& endpoint : reply.endpoints) {
+    if (endpoint.access_point != b->access_point()) continue;
+    saw_b = true;
+    EXPECT_TRUE(endpoint.authenticated);
+    EXPECT_EQ(endpoint.authenticated_as, std::optional(b->host()));
+  }
+  EXPECT_TRUE(saw_b);
+  EXPECT_GE(world.server->stats().auth_requests_out, 1u);
+
+  a->close();
+  b->close();
+  world.server->stop();
+  world.service->stop();
 }
 
 TEST(WireServer, SubscriptionPushesAndDeadSocketEvicts) {

@@ -20,7 +20,21 @@ void sort_unique(std::vector<T>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+/// The switches of `hops`, then `last` if given, in a vector of exact size.
+std::vector<SwitchId> switches_of(const std::vector<Hop>& hops,
+                                  std::optional<SwitchId> last = {}) {
+  std::vector<SwitchId> out;
+  out.reserve(hops.size() + (last ? 1 : 0));
+  for (const Hop& hop : hops) out.push_back(hop.sw);
+  if (last) out.push_back(*last);
+  return out;
+}
+
 }  // namespace
+
+std::vector<SwitchId> ReachedEndpoint::path() const {
+  return switches_of(hops);
+}
 
 std::vector<sdn::HostId> ReachabilityResult::reached_hosts() const {
   std::vector<sdn::HostId> out;
@@ -35,7 +49,7 @@ std::vector<sdn::HostId> ReachabilityResult::reached_hosts() const {
 std::vector<SwitchId> ReachabilityResult::traversed_switches() const {
   std::vector<SwitchId> out;
   for (const auto& e : endpoints) {
-    out.insert(out.end(), e.path.begin(), e.path.end());
+    for (const Hop& hop : e.hops) out.push_back(hop.sw);
   }
   for (const auto& c : controller_hits) {
     out.insert(out.end(), c.path.begin(), c.path.end());
@@ -70,11 +84,10 @@ ReachabilityResult NetworkModel::reach(PortRef ingress, const HeaderSpace& hs,
   struct WorkItem {
     PortRef in;
     HeaderSpace space;
-    std::vector<SwitchId> path;
-    std::vector<std::pair<SwitchId, sdn::FlowEntryId>> rules;
+    std::vector<Hop> hops;  ///< the walk up to, not including, in.sw
   };
   std::deque<WorkItem> queue;
-  queue.push_back(WorkItem{ingress, hs, {}, {}});
+  queue.push_back(WorkItem{ingress, hs, {}});
 
   // Dominance pruning: spaces already explored per (switch, in-port). A new
   // space is narrowed by what was seen; only the new part continues. This
@@ -91,15 +104,14 @@ ReachabilityResult NetworkModel::reach(PortRef ingress, const HeaderSpace& hs,
     WorkItem item = std::move(queue.front());
     queue.pop_front();
 
-    if (item.path.size() >= max_depth) continue;
+    if (item.hops.size() >= max_depth) continue;
     if (item.space.is_empty()) continue;
 
     // Loop check: re-entering a switch already on this walk's path.
-    if (std::find(item.path.begin(), item.path.end(), item.in.sw) !=
-        item.path.end()) {
-      auto loop_path = item.path;
-      loop_path.push_back(item.in.sw);
-      result.loops.push_back(LoopFinding{std::move(loop_path), item.space});
+    if (std::any_of(item.hops.begin(), item.hops.end(),
+                    [&](const Hop& hop) { return hop.sw == item.in.sw; })) {
+      result.loops.push_back(
+          LoopFinding{switches_of(item.hops, item.in.sw), item.space});
       continue;
     }
 
@@ -131,31 +143,37 @@ ReachabilityResult NetworkModel::reach(PortRef ingress, const HeaderSpace& hs,
     const auto tf_it = transfer_->find(item.in.sw);
     if (tf_it == transfer_->end()) continue;  // switch absent from snapshot
 
-    auto path = item.path;
-    path.push_back(item.in.sw);
-
     for (TfResult& tr : tf_it->second.apply(item.in.port, fresh)) {
       ++result.steps;
       if (tr.kind == TfOutput::Kind::Controller) {
         result.controller_hits.push_back(
-            ControllerHit{item.in.sw, tr.cookie, std::move(tr.space), path});
+            ControllerHit{item.in.sw, tr.cookie, std::move(tr.space),
+                          switches_of(item.hops, item.in.sw)});
         continue;
       }
-      auto rules = item.rules;
-      rules.emplace_back(item.in.sw, tr.entry_id);
+      // Each child's walk is built at its final size: it is either queued
+      // or kept as-is by an endpoint that may live on in the L2 cache.
+      std::vector<Hop> hops;
+      hops.reserve(item.hops.size() + 1);
+      hops.assign(item.hops.begin(), item.hops.end());
+      hops.push_back(Hop{item.in.sw, tr.entry_id});
       const PortRef out{item.in.sw, tr.port};
       if (const auto peer = topo_->link_peer(out)) {
-        queue.push_back(
-            WorkItem{*peer, std::move(tr.space), path, std::move(rules)});
+        queue.push_back(WorkItem{*peer, std::move(tr.space), std::move(hops)});
       } else {
-        result.endpoints.push_back(
-            ReachedEndpoint{out, topo_->host_at(out), std::move(tr.space),
-                            path, std::move(rules)});
+        result.endpoints.push_back(ReachedEndpoint{
+            out, topo_->host_at(out), std::move(tr.space), std::move(hops)});
       }
     }
   }
   sort_unique(touched);
   result.footprint = std::move(touched);
+  // The result may be cached for the snapshot's lifetime: drop the growth
+  // slack of every vector it owns.
+  result.endpoints.shrink_to_fit();
+  result.controller_hits.shrink_to_fit();
+  result.loops.shrink_to_fit();
+  result.footprint.shrink_to_fit();
   return result;
 }
 

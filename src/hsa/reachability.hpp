@@ -4,6 +4,11 @@
 // controller) any subset of that space can reach, with the traversed switch
 // paths — the static packet-trajectory analysis at the core of RVaaS's
 // logical verification step (§IV.A.2 of the paper).
+//
+// A ReachabilityResult is what core::ReachCache (L2) keeps per traversal, so
+// its layout is its memory cost: each reached endpoint stores its walk once,
+// as one (switch, flow entry) hop list, and reach() hands back every vector
+// sized to its contents (no growth slack survives into the cache).
 
 #include <map>
 #include <memory>
@@ -15,15 +20,24 @@
 
 namespace rvaas::hsa {
 
+/// One switch of a walk and the flow entry that carried the space through it
+/// (enables meter/fairness attribution).
+struct Hop {
+  sdn::SwitchId sw;
+  sdn::FlowEntryId entry;
+
+  bool operator==(const Hop&) const = default;
+};
+
 /// A subspace of the injected traffic that exits the network somewhere.
 struct ReachedEndpoint {
   sdn::PortRef egress;
   std::optional<sdn::HostId> host;  ///< nullopt = dark (unplugged) port
   HeaderSpace space;
-  std::vector<sdn::SwitchId> path;  ///< switches traversed, in order
-  /// The flow entries that carried this subspace, hop by hop (enables
-  /// meter/fairness attribution).
-  std::vector<std::pair<sdn::SwitchId, sdn::FlowEntryId>> rules;
+  std::vector<Hop> hops;  ///< switches traversed, in order, with their rules
+
+  /// The switches of `hops`, in order.
+  std::vector<sdn::SwitchId> path() const;
 
   bool operator==(const ReachedEndpoint&) const = default;
 };

@@ -205,7 +205,7 @@ ReachComputation from_reach_result(const hsa::ReachabilityResult& r,
   std::set<PortRef> seen;
   for (const auto& e : r.endpoints) {
     if (exclude && e.egress == *exclude) continue;
-    out.paths.push_back(e.path);
+    out.paths.push_back(e.path());
     if (!seen.insert(e.egress).second) continue;
     EndpointInfo info;
     info.access_point = e.egress;
@@ -231,7 +231,7 @@ ReachComputation reaching_sources(const Traversals& t, PortRef target,
       info.dark = !topo.host_at(ap).has_value();
       out.endpoints.push_back(info);
       if (!info.dark) out.to_authenticate.push_back(ap);
-      out.paths.push_back(e.path);
+      out.paths.push_back(e.path());
       break;  // one entry per source access point
     }
   }
@@ -271,7 +271,7 @@ std::vector<std::string> geo_jurisdictions(const Traversals& t, PortRef from,
                                            const GeoProvider& geo) {
   const ReachCache::ResultPtr r = t.reach(from, hs);
   std::vector<std::vector<SwitchId>> paths;
-  for (const auto& e : r->endpoints) paths.push_back(e.path);
+  for (const auto& e : r->endpoints) paths.push_back(e.path());
   for (const auto& c : r->controller_hits) paths.push_back(c.path);
   for (const auto& l : r->loops) paths.push_back(l.path);
   return jurisdictions_of(paths, geo);
@@ -289,7 +289,7 @@ void path_length(const Traversals& t, PortRef from, PortRef peer_ap,
   for (const auto& e : r->endpoints) {
     if (e.egress != peer_ap) continue;
     reply.path_found = true;
-    best = std::min(best, static_cast<std::uint32_t>(e.path.size()));
+    best = std::min(best, static_cast<std::uint32_t>(e.hops.size()));
   }
   if (reply.path_found) reply.installed_path_length = best;
 
@@ -315,7 +315,7 @@ std::vector<FairnessMetric> fairness(const Traversals& t, PortRef from,
   std::uint64_t min_rate = ~std::uint64_t{0};
   std::set<SwitchId> metered_switches;
   for (const auto& endpoint : r->endpoints) {
-    for (const auto& [sw, entry_id] : endpoint.rules) {
+    for (const auto& [sw, entry_id] : endpoint.hops) {
       const sdn::FlowEntry* entry = t.snap.find_entry(sw, entry_id);
       const auto meters_it = t.snap.meters().find(sw);
       if (entry == nullptr || !entry->meter ||
@@ -441,10 +441,13 @@ QueryEngine::Evaluation QueryEngine::evaluate(const hsa::NetworkModel& model,
     }
   }
 
-  // Canonicalize the union footprint (each traversal appended its own).
+  // Canonicalize the union footprint (each traversal appended its own) and
+  // drop the appended slots: a standing subscription keeps this vector for
+  // its whole lifetime.
   std::sort(out.footprint.begin(), out.footprint.end());
   out.footprint.erase(std::unique(out.footprint.begin(), out.footprint.end()),
                       out.footprint.end());
+  out.footprint.shrink_to_fit();
   return out;
 }
 

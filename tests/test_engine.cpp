@@ -288,6 +288,37 @@ TEST(Engine, RenderPathsDeduplicates) {
             (std::vector<std::string>{"s1->s2->s3"}));
 }
 
+// A standing subscription keeps its evaluation's footprint for its whole
+// lifetime, so the union footprint must not keep the slots each traversal
+// appended before the sort-unique (ReachingSources and Isolation run one
+// traversal per access point).
+TEST(Engine, FootprintSizedToContentsForEveryKind) {
+  workload::ScenarioConfig config;
+  config.generated = workload::grid(3, 3);
+  workload::ScenarioRuntime runtime(std::move(config));
+  const sdn::Topology& topo = runtime.network().topology();
+  const QueryEngine engine(topo, EngineConfig{});
+  const DisclosedGeo geo(topo);
+  QueryEngine::EvalContext ctx =
+      from(topo.host_ports(runtime.hosts().front()).front());
+  ctx.geo = &geo;
+  ctx.addressing = &runtime.addressing();
+
+  for (const QueryKind kind :
+       {QueryKind::ReachableEndpoints, QueryKind::ReachingSources,
+        QueryKind::Isolation, QueryKind::Geo, QueryKind::PathLength,
+        QueryKind::Fairness, QueryKind::TransferSummary,
+        QueryKind::PolicyCompliance}) {
+    Property property = of_kind(kind);
+    property.peer = runtime.hosts().back();
+    const auto ev = engine.evaluate(runtime.rvaas().snapshot(), property, ctx);
+    // PolicyCompliance without a federation walk consults no switch.
+    EXPECT_EQ(ev.footprint.empty(), kind == QueryKind::PolicyCompliance)
+        << to_string(kind);
+    EXPECT_EQ(ev.footprint.capacity(), ev.footprint.size()) << to_string(kind);
+  }
+}
+
 // --- geo providers ---
 
 TEST(GeoProviders, DisclosedReturnsTruth) {

@@ -1,11 +1,13 @@
 // Network-wide reachability: endpoints, shadowing across switches, loops,
-// dependency footprints, and the HSA ⇄ data-plane agreement property on
-// random networks (the key soundness argument for RVaaS's logical step).
+// dependency footprints, the result layout the reach cache keeps, and the
+// HSA ⇄ data-plane agreement property on random networks (the key soundness
+// argument for RVaaS's logical step).
 
 #include <gtest/gtest.h>
 
 #include "hsa/reachability.hpp"
 #include "sdn/network.hpp"
+#include "workload/scenario.hpp"
 
 namespace rvaas::hsa {
 namespace {
@@ -27,6 +29,17 @@ std::map<SwitchId, std::vector<sdn::FlowEntry>> dump_tables(
     tables[sw] = net.switch_sim(sw).table().entries();
   }
   return tables;
+}
+
+/// true iff some link joins switches a and b.
+bool linked(const sdn::Topology& topo, SwitchId a, SwitchId b) {
+  for (const auto& link : topo.links()) {
+    if ((link.a.sw == a && link.b.sw == b) ||
+        (link.b.sw == a && link.a.sw == b)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // h10 - s1 - s2 - s3 - h11 ; h12 at s2 port 2.
@@ -69,7 +82,7 @@ TEST(Reachability, LinearPathEndToEnd) {
   ASSERT_EQ(r.endpoints.size(), 1u);
   EXPECT_EQ(r.endpoints[0].egress, (PortRef{SwitchId(3), PortNo(1)}));
   EXPECT_EQ(r.endpoints[0].host, HostId(11));
-  EXPECT_EQ(r.endpoints[0].path,
+  EXPECT_EQ(r.endpoints[0].path(),
             (std::vector<SwitchId>{SwitchId(1), SwitchId(2), SwitchId(3)}));
   EXPECT_EQ(r.reached_hosts(), std::vector<HostId>{HostId(11)});
   EXPECT_TRUE(r.loops.empty());
@@ -210,6 +223,48 @@ TEST(Reachability, StepCounterAdvances) {
   EXPECT_GE(model.reach_from_host(HostId(10)).steps, 3u);
 }
 
+// --- Result layout: what the reach cache (L2) keeps per traversal ---
+//
+// Each endpoint's walk is one hop list: consecutive hops are linked
+// switches, from the ingress switch to the egress switch, and each hop names
+// an entry of its switch's snapshot table. Every vector is sized to its
+// contents, since a cached result keeps its capacity for the snapshot's
+// lifetime.
+TEST(Reachability, HopsFormLinkedWalksSizedToContents) {
+  workload::ScenarioConfig config;
+  config.generated = workload::grid(3, 3);
+  workload::ScenarioRuntime runtime(std::move(config));
+  const sdn::Topology& topo = runtime.network().topology();
+  const core::SnapshotManager& snap = runtime.rvaas().snapshot();
+  const NetworkModel model =
+      NetworkModel::from_tables(topo, snap.table_dump());
+
+  std::size_t walks = 0;
+  for (const PortRef ap : topo.all_access_points()) {
+    const ReachabilityResult r = model.reach(ap, HeaderSpace::all());
+    EXPECT_EQ(r.endpoints.capacity(), r.endpoints.size());
+    EXPECT_EQ(r.footprint.capacity(), r.footprint.size());
+    for (const ReachedEndpoint& e : r.endpoints) {
+      ++walks;
+      ASSERT_FALSE(e.hops.empty());
+      EXPECT_EQ(e.hops.capacity(), e.hops.size());
+      EXPECT_EQ(e.hops.front().sw, ap.sw);
+      EXPECT_EQ(e.hops.back().sw, e.egress.sw);
+      std::vector<SwitchId> switches;
+      for (std::size_t k = 0; k < e.hops.size(); ++k) {
+        const Hop& hop = e.hops[k];
+        switches.push_back(hop.sw);
+        EXPECT_NE(snap.find_entry(hop.sw, hop.entry), nullptr);
+        if (k + 1 < e.hops.size()) {
+          EXPECT_TRUE(linked(topo, hop.sw, e.hops[k + 1].sw));
+        }
+      }
+      EXPECT_EQ(e.path(), switches);
+    }
+  }
+  EXPECT_GT(walks, topo.all_access_points().size());
+}
+
 // --- HSA ⇄ data-plane agreement on random networks ---
 //
 // For random topologies and random rule sets:
@@ -315,16 +370,10 @@ TEST_P(ReachAgreement, GroundTruthAgreement) {
       // At least: reach() must never claim an egress on a switch the
       // concrete packet cannot even enter — weak check, the strong check is
       // direction 1. Here we assert the path is consistent with topology.
-      for (std::size_t k = 0; k + 1 < e.path.size(); ++k) {
-        bool linked = false;
-        for (const auto& link : net.topology().links()) {
-          if ((link.a.sw == e.path[k] && link.b.sw == e.path[k + 1]) ||
-              (link.b.sw == e.path[k] && link.a.sw == e.path[k + 1])) {
-            linked = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(linked) << "path jumps between unlinked switches";
+      const std::vector<SwitchId> path = e.path();
+      for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+        EXPECT_TRUE(linked(net.topology(), path[k], path[k + 1]))
+            << "path jumps between unlinked switches";
       }
     }
   }
